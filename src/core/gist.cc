@@ -47,6 +47,7 @@ void GistServer::ReportFailure(const FailureReport& report) {
   slice_ = *GetOrComputeSlice(options_.store, *ticfg_, module_hash_, report.failing_instr);
   ast_ = std::make_unique<AstController>(slice_, options_.initial_sigma, options_.ast_growth);
   traces_.clear();
+  failure_summaries_.clear();
   behavior_.Reset();
   discovered_.clear();
   failure_recurrences_ = 0;
@@ -84,8 +85,7 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
   // must account every stream of the upload, or chaos fleets under-report
   // exactly the traffic they were injected to produce. With an artifact
   // store the decode itself may be a cache hit — the counters still add the
-  // (cached) stream's stats, so the metrics export is identical either way,
-  // and sketch builds later hit the same keys.
+  // (cached) stream's stats, so the metrics export is identical either way.
   uint64_t upload_bytes = 0;
   bool quarantine = false;
   std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
@@ -114,7 +114,7 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
 
   // Streaming statistics (DESIGN.md §14): the accepted run's predictor set
   // is extracted once right here — O(this run's events), reusing the decodes
-  // above and the same store key later sketch builds share — and folded into
+  // above and the same store key batch sketch builds share — and folded into
   // the running BehaviorStats keyed by run identity, so a retried upload of
   // an already-counted run cannot double-count.
   behavior_.RecordRun(
@@ -125,6 +125,7 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
   if (trace.failed) {
     ++failure_recurrences_;
     *ingest_.recurrences += 1;
+    failure_summaries_.push_back(SummarizeTrace(module_, decoded));
   }
 
   // Data-flow refinement: watchpoint-caught statements outside the static
@@ -177,6 +178,7 @@ Result<FailureSketch> GistServer::BuildSketch() const {
   sketch_options.store = options_.store;
   sketch_options.module_hash = module_hash_;
   sketch_options.behavior = &behavior_;
+  sketch_options.summaries = &failure_summaries_;
   sketch_options.shadow_check = stats_shadow_;
   Result<FailureSketch> sketch =
       BuildFailureSketch(module_, plan_.window, traces_, sketch_options);

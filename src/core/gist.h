@@ -167,6 +167,9 @@ class GistServer {
   // Refinement (§3.2.3): statements the watchpoints caught that the static
   // slice missed are *added to the slice* — subsequent plans track them with
   // PT and watchpoints of their own.
+  //
+  // Summary (DESIGN.md §14): an accepted failing trace is summarised once,
+  // from the validation decodes, so sketch builds decode no PT.
   TraceIngest AddTrace(RunTrace trace);
 
   // Statements added to the slice by data-flow refinement so far.
@@ -175,6 +178,8 @@ class GistServer {
   uint32_t failure_recurrences() const { return failure_recurrences_; }
   size_t trace_count() const { return traces_.size(); }
   const std::vector<RunTrace>& traces() const { return traces_; }
+  // One TraceSummary per failing trace in traces(), in order.
+  const std::vector<TraceSummary>& failure_summaries() const { return failure_summaries_; }
   // Uploads quarantined by PT validation since the target was reported.
   uint64_t quarantined_traces() const { return quarantined_traces_; }
 
@@ -237,6 +242,7 @@ class GistServer {
   InstrumentationPlan plan_;
   uint64_t plan_version_ = 0;
   std::vector<RunTrace> traces_;
+  std::vector<TraceSummary> failure_summaries_;
   BehaviorStats behavior_;
   bool stats_shadow_ = false;
   std::vector<InstrId> discovered_;

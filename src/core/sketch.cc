@@ -59,8 +59,8 @@ std::vector<const DecodedCoreTrace*> TraceViews(
 }
 
 // Cache key for one trace's extracted predictor set: a pure function of
-// (module, PT buffers, watch log). Without a cache every sketch rebuild
-// re-extracts all accumulated traces, which is quadratic across iterations.
+// (module, PT buffers, watch log). Ingest and batch sketch builds share it,
+// so a shadow-mode rebuild re-extracts nothing ingest already extracted.
 ArtifactKey PredictorsKey(const ContentHash& module_hash, const RunTrace& trace) {
   uint64_t hi = module_hash.hi;
   uint64_t lo = module_hash.lo;
@@ -95,89 +95,163 @@ std::shared_ptr<const std::vector<Predictor>> GetOrExtractTracePredictors(
                                                          &module, approx_bytes, build);
 }
 
+TraceSummary SummarizeTrace(const Module& module,
+                            const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded) {
+  // Dense per-thread tables indexed by InstrId: next position, and the last
+  // position each statement ran at (-1: never).
+  struct ThreadState {
+    int64_t next = 0;
+    std::vector<int64_t> last;
+  };
+  std::map<ThreadId, ThreadState> threads;
+  for (const auto& decode_result : decoded) {
+    for (const PtVisit& visit : decode_result->trace.visits) {
+      if (visit.first_index > visit.last_index) {
+        continue;  // truncated-away visit
+      }
+      ThreadState& thread = threads[visit.tid];
+      if (thread.last.empty()) {
+        thread.last.assign(module.num_instructions(), -1);
+      }
+      const auto& instrs = module.function(visit.function).block(visit.block).instructions();
+      for (uint32_t i = visit.first_index; i <= visit.last_index && i < instrs.size(); ++i) {
+        thread.last[instrs[i].id] = thread.next++;  // last occurrence wins
+      }
+    }
+  }
+  TraceSummary summary;
+  std::vector<bool> executed(module.num_instructions(), false);
+  for (const auto& [tid, thread] : threads) {
+    for (InstrId id = 0; id < thread.last.size(); ++id) {
+      if (thread.last[id] >= 0) {
+        summary.positions.push_back({tid, id, thread.last[id]});
+        executed[id] = true;
+      }
+    }
+  }
+  for (InstrId id = 0; id < executed.size(); ++id) {
+    if (executed[id]) {
+      summary.executed.push_back(id);
+    }
+  }
+  return summary;
+}
+
+namespace {
+
+// The reference failing run used for layout: the one whose PT trace covers
+// the most of the *current* window. Traces accumulate across AsT iterations,
+// and early-iteration runs executed under narrower plans — judging them by
+// raw watch-event counts alone would let a stale σ=2 trace outrank every
+// wider-σ recurrence forever, hiding statements the grown window now
+// tracks. Coverage ties break toward the most captured data flow, then
+// toward the most recent run. Returns an index into `failing`, or
+// failing.size() when it is empty.
+size_t ChooseReference(const std::vector<InstrId>& window,
+                       const std::vector<const RunTrace*>& failing,
+                       const std::vector<TraceSummary>& summaries) {
+  size_t reference = failing.size();
+  size_t reference_coverage = 0;
+  for (size_t i = 0; i < failing.size(); ++i) {
+    size_t coverage = 0;
+    for (InstrId id : window) {
+      coverage += summaries[i].Executed(id) ? 1 : 0;
+    }
+    bool better = reference == failing.size();
+    if (!better && coverage != reference_coverage) {
+      better = coverage > reference_coverage;
+    } else if (!better) {
+      better = failing[i]->watch_events.size() >= failing[reference]->watch_events.size();
+    }
+    if (better) {
+      reference = i;
+      reference_coverage = coverage;
+    }
+  }
+  return reference;
+}
+
+}  // namespace
+
 Result<FailureSketch> BuildFailureSketch(const Module& module,
                                          const std::vector<InstrId>& window,
                                          const std::vector<RunTrace>& traces,
                                          const SketchOptions& options) {
-  // Decode every trace's PT buffers once; feed the statistics. Along the way
-  // locate the reference failing run used for layout: the failing run whose
-  // PT trace covers the most of the *current* window. Traces accumulate
-  // across AsT iterations, and early-iteration runs executed under narrower
-  // plans — judging them by raw watch-event counts alone would let a stale
-  // σ=2 trace outrank every wider-σ recurrence forever, hiding statements
-  // the grown window now tracks. Coverage ties break toward the most
-  // captured data flow, then toward the most recent run.
-  // With a maintained BehaviorStats the ranking is already aggregated; only
-  // the failing traces (the 2–5 recurrences) need decoding here, for
-  // reference selection. The batch recompute still runs standalone — and in
-  // shadow mode, where it must fingerprint byte-identically to the
-  // incremental aggregation or the build CHECK-fails.
+  GIST_CHECK((options.behavior == nullptr) == (options.summaries == nullptr))
+      << "SketchOptions::behavior and ::summaries are set together";
+  // Batch path: decode every trace's PT buffers once, feed the statistics,
+  // and summarise the failing runs. With maintained streaming state the
+  // ranking is already aggregated and the failing runs already summarised,
+  // so this whole loop is skipped — except in shadow mode, where it must
+  // reproduce the incremental aggregation, the stored summaries and the
+  // reference choice exactly or the build CHECK-fails.
   BehaviorStats batch(options.beta);
   const bool need_batch = options.behavior == nullptr || options.shadow_check;
-  const RunTrace* reference = nullptr;
-  size_t reference_coverage = 0;
-  std::vector<std::shared_ptr<const PtDecodeResult>> reference_decoded;
+  std::vector<const RunTrace*> failing;
+  std::vector<TraceSummary> rebuilt;
   uint64_t quarantined = options.quarantined;
-  for (const RunTrace& trace : traces) {
-    if (!trace.failed && !need_batch) {
-      continue;  // already aggregated at ingest; nothing else to read from it
-    }
-    std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
-    bool decodable = true;
-    for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
-      // Decodes share the artifact store with ingest: the same (module,
-      // core, bytes) key the server decoded at AddTrace time hits here, so
-      // per-recurrence rebuilds stop being quadratic in stored traces.
-      std::shared_ptr<const PtDecodeResult> one = GetOrDecodePt(
-          options.store, module, options.module_hash, static_cast<CoreId>(core),
-          trace.pt_buffers[core]);
-      if (!one->ok()) {
-        // Corrupt upload that bypassed server ingestion: quarantine it here
-        // rather than abandoning the sketch (DESIGN.md §8).
-        decodable = false;
-        break;
+  if (need_batch) {
+    for (const RunTrace& trace : traces) {
+      std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
+      bool decodable = true;
+      for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
+        // Decodes share the artifact store with ingest: the same (module,
+        // core, bytes) key the server decoded at AddTrace time hits here.
+        std::shared_ptr<const PtDecodeResult> one = GetOrDecodePt(
+            options.store, module, options.module_hash, static_cast<CoreId>(core),
+            trace.pt_buffers[core]);
+        if (!one->ok()) {
+          // Corrupt upload that bypassed server ingestion: quarantine it here
+          // rather than abandoning the sketch (DESIGN.md §8).
+          decodable = false;
+          break;
+        }
+        decoded.push_back(std::move(one));
       }
-      decoded.push_back(std::move(one));
-    }
-    if (!decodable) {
-      ++quarantined;
-      continue;
-    }
-    if (need_batch) {
+      if (!decodable) {
+        ++quarantined;
+        continue;
+      }
       batch.RecordRun(trace.run_id,
                       *GetOrExtractTracePredictors(module, options.store, options.module_hash,
                                                    decoded, trace),
                       trace.failed);
-    }
-    if (trace.failed) {
-      const std::unordered_set<InstrId> trace_executed =
-          ExecutedInstrsViews(module, TraceViews(decoded));
-      size_t coverage = 0;
-      for (InstrId id : window) {
-        coverage += trace_executed.count(id);
-      }
-      bool better = reference == nullptr;
-      if (!better && coverage != reference_coverage) {
-        better = coverage > reference_coverage;
-      } else if (!better) {
-        better = trace.watch_events.size() >= reference->watch_events.size();
-      }
-      if (better) {
-        reference = &trace;
-        reference_coverage = coverage;
-        reference_decoded = std::move(decoded);
+      if (trace.failed) {
+        failing.push_back(&trace);
+        rebuilt.push_back(SummarizeTrace(module, decoded));
       }
     }
   }
-  if (reference == nullptr) {
+  const std::vector<TraceSummary>* summaries = &rebuilt;
+  if (options.behavior != nullptr) {
+    std::vector<const RunTrace*> stored;
+    for (const RunTrace& trace : traces) {
+      if (trace.failed) {
+        stored.push_back(&trace);
+      }
+    }
+    GIST_CHECK_EQ(stored.size(), options.summaries->size())
+        << "one TraceSummary per failing trace";
+    if (options.shadow_check) {
+      GIST_CHECK(batch.Fingerprint() == options.behavior->Fingerprint())
+          << "shadow mode: incremental BehaviorStats diverged from batch recompute\n--- batch:\n"
+          << batch.Fingerprint() << "--- incremental:\n"
+          << options.behavior->Fingerprint();
+      GIST_CHECK(rebuilt == *options.summaries)
+          << "shadow mode: stored trace summaries diverged from a fresh decode";
+      GIST_CHECK_EQ(ChooseReference(window, failing, rebuilt),
+                    ChooseReference(window, stored, *options.summaries))
+          << "shadow mode: reference run from summaries diverged from batch choice";
+    }
+    failing = std::move(stored);
+    summaries = options.summaries;
+  }
+  const size_t chosen = ChooseReference(window, failing, *summaries);
+  if (chosen == failing.size()) {
     return Error("no failing run collected yet");
   }
-  if (options.behavior != nullptr && options.shadow_check) {
-    GIST_CHECK(batch.Fingerprint() == options.behavior->Fingerprint())
-        << "shadow mode: incremental BehaviorStats diverged from batch recompute\n--- batch:\n"
-        << batch.Fingerprint() << "--- incremental:\n"
-        << options.behavior->Fingerprint();
-  }
+  const RunTrace* reference = failing[chosen];
+  const TraceSummary& reference_summary = (*summaries)[chosen];
   const PredictorStats& stats =
       options.behavior != nullptr ? options.behavior->stats() : batch.stats();
 
@@ -186,11 +260,9 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   //     reference failing run;
   // (b) data flow: statements the watchpoints caught that static slicing
   //     missed (no alias analysis), added to the sketch.
-  const std::unordered_set<InstrId> executed =
-      ExecutedInstrsViews(module, TraceViews(reference_decoded));
   std::set<InstrId> members;
   for (InstrId id : window) {
-    if (executed.count(id) != 0 || id == reference->failure.failing_instr) {
+    if (reference_summary.Executed(id) || id == reference->failure.failing_instr) {
       members.insert(id);
     }
   }
@@ -207,29 +279,16 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
 
   // --- Layout ---------------------------------------------------------------
   // Per-(thread, statement) entries with per-thread order positions from the
-  // decoded visits and global anchors from the watchpoint total order.
+  // reference summary and global anchors from the watchpoint total order.
   std::map<std::pair<ThreadId, InstrId>, LayoutEntry> entries;
-
-  std::map<ThreadId, int64_t> thread_pos;
-  for (const auto& decode_result : reference_decoded) {
-    const DecodedCoreTrace& trace = decode_result->trace;
-    for (const PtVisit& visit : trace.visits) {
-      if (visit.first_index > visit.last_index) {
-        continue;
-      }
-      const auto& instrs = module.function(visit.function).block(visit.block).instructions();
-      for (uint32_t i = visit.first_index; i <= visit.last_index && i < instrs.size(); ++i) {
-        const int64_t pos = thread_pos[visit.tid]++;
-        const InstrId id = instrs[i].id;
-        if (members.count(id) == 0) {
-          continue;
-        }
-        LayoutEntry& entry = entries[{visit.tid, id}];
-        entry.instr = id;
-        entry.tid = visit.tid;
-        entry.pos = pos;  // last occurrence wins
-      }
+  for (const TraceSummary::Position& position : reference_summary.positions) {
+    if (members.count(position.instr) == 0) {
+      continue;
     }
+    LayoutEntry& entry = entries[{position.tid, position.instr}];
+    entry.instr = position.instr;
+    entry.tid = position.tid;
+    entry.pos = position.pos;
   }
   for (const WatchEvent& event : reference->watch_events) {
     LayoutEntry& entry = entries[{event.tid, event.instr}];

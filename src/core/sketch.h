@@ -7,8 +7,9 @@
 // successful runs).
 //
 // Construction = slice refinement + predictor statistics:
-//   1. decode the failing runs' PT buffers → which window statements actually
-//      executed (removes never-executed slice statements);
+//   1. read each failing run's TraceSummary (built once from its decoded PT
+//      buffers at ingest) → which window statements actually executed
+//      (removes never-executed slice statements);
 //   2. add watchpoint-discovered statements that the alias-analysis-free
 //      static slice missed (§3.2.3);
 //   3. order statements by the watchpoint total order, interpolating
@@ -21,6 +22,7 @@
 #ifndef GIST_SRC_CORE_SKETCH_H_
 #define GIST_SRC_CORE_SKETCH_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -81,6 +83,34 @@ struct FailureSketch {
   std::vector<InstrId> SharedAccessOrder(const Module& module) const;
 };
 
+// What one failing run executed, as reference selection, control-flow
+// refinement and layout read it (DESIGN.md §14): the executed-instruction set
+// and, per executed (thread, statement) pair, its last per-thread
+// program-order position. Per-thread positions count every instruction the
+// PT visits cover, continuing across cores in core order. The server builds
+// one per accepted failing trace at ingest, from the decodes validation
+// already holds, so sketch rebuilds decode no PT.
+struct TraceSummary {
+  struct Position {
+    ThreadId tid = kNoThread;
+    InstrId instr = kNoInstr;
+    int64_t pos = 0;
+
+    bool operator==(const Position&) const = default;
+  };
+  std::vector<InstrId> executed;    // sorted, distinct
+  std::vector<Position> positions;  // sorted by (tid, instr), one per pair
+
+  bool Executed(InstrId id) const {
+    return std::binary_search(executed.begin(), executed.end(), id);
+  }
+  bool operator==(const TraceSummary&) const = default;
+};
+
+// Summarises one trace's decoded PT streams, given in core order.
+TraceSummary SummarizeTrace(const Module& module,
+                            const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded);
+
 struct SketchOptions {
   double beta = kDefaultBeta;
   std::string title;
@@ -91,24 +121,28 @@ struct SketchOptions {
   // Uploads the server already quarantined before `traces`; carried into
   // FailureSketch::quarantined_traces so the sketch reports the full count.
   uint64_t quarantined = 0;
-  // Optional artifact store (DESIGN.md §11): sketch construction re-decodes
-  // every stored trace's PT buffers per recurrence — quadratic in traces
-  // without the cache, and the keys match ingest's, so even a cold campaign
-  // hits here. `module_hash` must be the content hash of the module passed
-  // to BuildFailureSketch; ignored when `store` is null.
+  // Optional artifact store (DESIGN.md §11) for the batch path's PT decodes
+  // and predictor extraction; the keys match ingest's, so even a cold
+  // campaign hits here. `module_hash` must be the content hash of the module
+  // passed to BuildFailureSketch; ignored when `store` is null.
   ArtifactStore* store = nullptr;
   ContentHash module_hash;
-  // Streaming statistics maintained by the trace-ingest path (DESIGN.md
-  // §14). When set, the sketch ranks from this aggregation instead of
-  // re-extracting every stored trace's predictors, and only the FAILING
-  // traces are decoded (for reference-run selection) — the caller guarantees
-  // every trace in `traces` already passed ingest validation, which
-  // GistServer does. Null keeps the historical batch recompute.
+  // Streaming state maintained by the trace-ingest path (DESIGN.md §14),
+  // set together. `behavior` is the running predictor aggregation the sketch
+  // ranks from; `summaries` holds one TraceSummary per failing trace of
+  // `traces`, in order, from which it picks the reference run and lays out
+  // the sketch. With both set (and no shadow check) the build decodes no PT
+  // at all — the caller guarantees every trace in `traces` already passed
+  // ingest validation, which GistServer does. Null keeps the batch path:
+  // decode every trace, re-extract its predictors, summarise the failing
+  // ones.
   const BehaviorStats* behavior = nullptr;
-  // Shadow mode: with `behavior` set, ALSO run the batch recompute and
-  // CHECK-fail unless both aggregations fingerprint byte-identically. The
-  // incremental path's correctness gate; tests and GIST_STATS_SHADOW=1 turn
-  // it on.
+  const std::vector<TraceSummary>* summaries = nullptr;
+  // Shadow mode: with `behavior` set, ALSO run the batch path and
+  // CHECK-fail unless both aggregations fingerprint byte-identically, every
+  // rebuilt summary equals the stored one, and both choose the same
+  // reference run. The incremental path's correctness gate; tests and
+  // GIST_STATS_SHADOW=1 turn it on.
   bool shadow_check = false;
 };
 

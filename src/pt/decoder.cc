@@ -361,17 +361,9 @@ Result<DecodedCoreTrace> DecodePtStream(const Module& module, CoreId core,
 
 std::unordered_set<InstrId> ExecutedInstrs(const Module& module,
                                            const std::vector<DecodedCoreTrace>& traces) {
-  std::vector<const DecodedCoreTrace*> view;
-  view.reserve(traces.size());
-  for (const DecodedCoreTrace& trace : traces) view.push_back(&trace);
-  return ExecutedInstrsViews(module, view);
-}
-
-std::unordered_set<InstrId> ExecutedInstrsViews(
-    const Module& module, const std::vector<const DecodedCoreTrace*>& traces) {
   std::unordered_set<InstrId> executed;
-  for (const DecodedCoreTrace* trace : traces) {
-    for (const PtVisit& visit : trace->visits) {
+  for (const DecodedCoreTrace& trace : traces) {
+    for (const PtVisit& visit : trace.visits) {
       if (visit.first_index > visit.last_index) {
         continue;  // truncated-away visit
       }

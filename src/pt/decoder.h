@@ -107,11 +107,6 @@ Result<DecodedCoreTrace> DecodePtStream(const Module& module, CoreId core,
 // Union of all instruction ids covered by the visits.
 std::unordered_set<InstrId> ExecutedInstrs(const Module& module,
                                            const std::vector<DecodedCoreTrace>& traces);
-// Pointer-view flavor: callers holding shared cached decodes (DESIGN.md §11)
-// pass views instead of copying traces into a contiguous vector. Named
-// distinctly so braced-init-list calls of the value flavor stay unambiguous.
-std::unordered_set<InstrId> ExecutedInstrsViews(const Module& module,
-                                                const std::vector<const DecodedCoreTrace*>& traces);
 
 }  // namespace gist
 

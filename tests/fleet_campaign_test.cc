@@ -5,10 +5,14 @@
 //   2. the streaming (incremental) BehaviorStats aggregation is byte-
 //      identical to a batch recompute over the stored traces, on every
 //      bundled app and on a synthesized corpus subset — checked both by
-//      shadow mode (the in-build CHECK) and by direct fingerprint equality.
+//      shadow mode (the in-build CHECK) and by direct fingerprint equality;
+//   3. sketch builds read no PT: the server's trace summaries alone rebuild
+//      the final sketch from traces whose PT buffers were cleared, byte-equal
+//      to the served and the batch-decoded sketch.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -56,8 +60,44 @@ struct CampaignFleet {
   std::string sketch_render;
   std::string behavior_fingerprint;
   std::string batch_fingerprint;
+  std::string served_render;
+  std::string summary_render;
   std::string batch_render;
 };
+
+// Rebuilds the server's final sketch three ways into `out`: as served, from
+// the server's summaries and streaming statistics over copies of the traces
+// with every PT buffer cleared (so no decode can contribute), and by the
+// batch path decoding the full buffers with no streaming state attached.
+void RebuildFinalSketch(const Module& module, const GistServer& server, const std::string& title,
+                        CampaignFleet* out) {
+  Result<FailureSketch> served = server.BuildSketch();
+  if (served.ok()) {
+    out->served_render = RenderFailureSketch(module, *served);
+  }
+  SketchOptions options;
+  options.title = title;
+  options.discovered = &server.discovered_instrs();
+  options.quarantined = server.quarantined_traces();
+  Result<FailureSketch> batch =
+      BuildFailureSketch(module, server.plan().window, server.traces(), options);
+  if (batch.ok()) {
+    out->batch_render = RenderFailureSketch(module, *batch);
+  }
+  std::vector<RunTrace> stripped = server.traces();
+  for (RunTrace& trace : stripped) {
+    for (std::vector<uint8_t>& buffer : trace.pt_buffers) {
+      buffer.clear();
+    }
+  }
+  options.behavior = &server.behavior();
+  options.summaries = &server.failure_summaries();
+  Result<FailureSketch> from_summaries =
+      BuildFailureSketch(module, server.plan().window, stripped, options);
+  if (from_summaries.ok()) {
+    out->summary_render = RenderFailureSketch(module, *from_summaries);
+  }
+}
 
 CampaignFleet RunCampaignFleet(const BugApp& app, FleetOptions options) {
   CampaignTracker tracker(app.info().name);
@@ -81,19 +121,10 @@ CampaignFleet RunCampaignFleet(const BugApp& app, FleetOptions options) {
   out.sketch_render = RenderFailureSketch(app.module(), out.result.sketch);
   out.behavior_fingerprint = fleet.server().behavior().Fingerprint();
 
-  // Batch recompute, bypassing the server's streaming aggregation entirely:
-  // rebuild the final sketch from the stored traces with no BehaviorStats
-  // attached. Must agree with the incremental result byte for byte.
+  // Batch recompute, bypassing the server's streaming aggregation entirely.
+  // Must agree with the incremental result byte for byte.
   const GistServer& server = fleet.server();
-  SketchOptions batch_options;
-  batch_options.title = app.info().name;
-  batch_options.discovered = &server.discovered_instrs();
-  batch_options.quarantined = server.quarantined_traces();
-  Result<FailureSketch> batch =
-      BuildFailureSketch(app.module(), server.plan().window, server.traces(), batch_options);
-  if (batch.ok()) {
-    out.batch_render = RenderFailureSketch(app.module(), *batch);
-  }
+  RebuildFinalSketch(app.module(), server, app.info().name, &out);
   BehaviorStats replay;
   for (const RunTrace& trace : server.traces()) {
     // Server-accepted traces are guaranteed decodable (ingest validation).
@@ -206,6 +237,8 @@ TEST(FleetCampaignTest, IncrementalMatchesBatchOnAllApps) {
     }
     EXPECT_EQ(fleet.behavior_fingerprint, fleet.batch_fingerprint);
     EXPECT_EQ(fleet.sketch_render, fleet.batch_render);
+    EXPECT_EQ(fleet.served_render, fleet.batch_render);
+    EXPECT_EQ(fleet.summary_render, fleet.batch_render);
   }
 }
 
@@ -244,6 +277,39 @@ TEST(FleetCampaignTest, CorpusSubsetShadowIdenticalAcrossJobs) {
   const CorpusScore parallel = ScoreCorpus(programs, options);
   ASSERT_EQ(unsetenv("GIST_STATS_SHADOW"), 0);
   EXPECT_EQ(sequential.ReportJson(), parallel.ReportJson());
+}
+
+TEST(FleetCampaignTest, SummariesRebuildSketchWithoutPtOnCorpusSubset) {
+  // Two programs of every family, double-free and deadlock included: the
+  // families with the most recurrences, so the most stored failing traces.
+  CorpusOptions gen;
+  gen.seed = 2015;
+  gen.count = 2 * kNumBugFamilies;
+  const std::vector<GeneratedProgram> programs = GenerateCorpus(gen);
+  for (const GeneratedProgram& program : programs) {
+    const CorpusManifest& manifest = program.manifest;
+    SCOPED_TRACE(manifest.name);
+    FleetOptions options = BaseOptions(DeriveSeed(2015, program.index), /*jobs=*/2);
+    options.runs_per_iteration = 200;
+    options.max_iterations = 4;
+    options.gist.title = manifest.name;
+    Fleet fleet(
+        *program.module,
+        [&manifest](uint64_t run_index, Rng& rng) {
+          return CorpusWorkload(manifest, run_index, rng);
+        },
+        options);
+    const FleetResult result = fleet.Run([&manifest](const FailureSketch& sketch) {
+      return std::all_of(manifest.root_cause.begin(), manifest.root_cause.end(),
+                         [&sketch](InstrId id) { return sketch.Contains(id); });
+    });
+    ASSERT_TRUE(result.first_failure_found);
+    CampaignFleet out;
+    RebuildFinalSketch(*program.module, fleet.server(), manifest.name, &out);
+    ASSERT_FALSE(out.served_render.empty());
+    EXPECT_EQ(out.summary_render, out.served_render);
+    EXPECT_EQ(out.summary_render, out.batch_render);
+  }
 }
 
 }  // namespace

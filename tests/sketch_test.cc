@@ -1,14 +1,18 @@
 // Failure-sketch construction tests: refinement semantics (execution
 // filtering + data-flow discovery), layout invariants, value annotation,
-// predictor highlighting, and error handling.
+// predictor highlighting, trace summaries, and error handling.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <tuple>
+#include <vector>
 
 #include "src/core/gist.h"
 #include "src/core/renderer.h"
 #include "src/ir/parser.h"
+#include "src/pt/decoder.h"
 
 namespace gist {
 namespace {
@@ -201,6 +205,93 @@ TEST_F(SketchTest, SharedAccessOrderListsWatchedInstrsInStepOrder) {
     EXPECT_TRUE(sketch->Contains(id));
     EXPECT_TRUE(module_->instr(id).IsSharedAccess());
   }
+}
+
+TEST_F(SketchTest, SummariesAloneRebuildTheSketch) {
+  // With the server's summaries and streaming statistics attached, the
+  // build reads no PT buffer: stripping every buffer changes nothing.
+  std::vector<RunTrace> stripped = server_->traces();
+  for (RunTrace& trace : stripped) {
+    trace.pt_buffers.clear();
+  }
+  SketchOptions options;
+  options.title = "failure";
+  options.discovered = &server_->discovered_instrs();
+  options.behavior = &server_->behavior();
+  options.summaries = &server_->failure_summaries();
+  Result<FailureSketch> from_summaries =
+      BuildFailureSketch(*module_, server_->plan().window, stripped, options);
+  Result<FailureSketch> served = server_->BuildSketch();
+  ASSERT_TRUE(from_summaries.ok()) << from_summaries.error().message();
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(RenderFailureSketch(*module_, *from_summaries), RenderFailureSketch(*module_, *served));
+}
+
+// SummarizeTrace over hand-built decodes of kProgram's entry blocks.
+class SummarizeTraceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto parsed = ParseModule(kProgram);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    module_ = std::move(*parsed);
+    main_ = module_->FindFunction("main");
+    setter_ = module_->FindFunction("setter");
+  }
+
+  static std::shared_ptr<const PtDecodeResult> Decode(CoreId core, std::vector<PtVisit> visits) {
+    auto result = std::make_shared<PtDecodeResult>();
+    result->trace.core = core;
+    result->trace.visits = std::move(visits);
+    return result;
+  }
+
+  InstrId Entry(FunctionId function, uint32_t index) const {
+    return module_->function(function).block(0).instructions()[index].id;
+  }
+
+  std::unique_ptr<Module> module_;
+  FunctionId main_ = kNoFunction;
+  FunctionId setter_ = kNoFunction;
+};
+
+TEST_F(SummarizeTraceTest, PositionsCountPerThreadAcrossCoresInCoreOrder) {
+  const TraceSummary summary = SummarizeTrace(
+      *module_, {Decode(0, {{0, main_, 0, 0, 2}, {1, setter_, 0, 0, 2}}),
+                 Decode(1, {{0, main_, 0, 3, 5}})});
+  std::vector<TraceSummary::Position> expected;
+  for (uint32_t i = 0; i <= 5; ++i) {
+    expected.push_back({0, Entry(main_, i), i});
+  }
+  for (uint32_t i = 0; i <= 2; ++i) {
+    expected.push_back({1, Entry(setter_, i), i});
+  }
+  std::sort(expected.begin(), expected.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.tid, a.instr) < std::tie(b.tid, b.instr);
+  });
+  EXPECT_EQ(summary.positions, expected);
+  ASSERT_EQ(summary.executed.size(), 9u);
+  EXPECT_TRUE(std::is_sorted(summary.executed.begin(), summary.executed.end()));
+  EXPECT_TRUE(summary.Executed(Entry(main_, 5)));
+  EXPECT_TRUE(summary.Executed(Entry(setter_, 1)));
+}
+
+TEST_F(SummarizeTraceTest, TruncatedVisitIsSkipped) {
+  const TraceSummary summary = SummarizeTrace(
+      *module_, {Decode(0, {{0, main_, 0, 0, 1}, {0, main_, 0, 4, 2}, {0, main_, 0, 2, 2}})});
+  const std::vector<TraceSummary::Position> expected = {
+      {0, Entry(main_, 0), 0}, {0, Entry(main_, 1), 1}, {0, Entry(main_, 2), 2}};
+  EXPECT_EQ(summary.positions, expected);
+  EXPECT_FALSE(summary.Executed(Entry(main_, 3)));
+  EXPECT_FALSE(summary.Executed(Entry(main_, 4)));
+}
+
+TEST_F(SummarizeTraceTest, LastOccurrenceWins) {
+  const TraceSummary summary =
+      SummarizeTrace(*module_, {Decode(0, {{0, main_, 0, 0, 1}}), Decode(1, {{0, main_, 0, 0, 0}})});
+  const std::vector<TraceSummary::Position> expected = {{0, Entry(main_, 0), 2},
+                                                        {0, Entry(main_, 1), 1}};
+  EXPECT_EQ(summary.positions, expected);
+  EXPECT_EQ(summary.executed, (std::vector<InstrId>{Entry(main_, 0), Entry(main_, 1)}));
 }
 
 TEST(SketchErrorsTest, NoFailingRunIsAnError) {

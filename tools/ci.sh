@@ -70,6 +70,16 @@ run_config() {
 
 stage_release() {
   run_config release -DCMAKE_BUILD_TYPE=Release
+  # Shadow pass (DESIGN.md §14): every sketch build also runs the batch path
+  # and CHECK-fails unless the streaming statistics, the stored trace
+  # summaries and the reference-run choice all match a fresh decode.
+  echo "=== [release] ctest -L fleet|corpus under GIST_STATS_SHADOW=1 ==="
+  (cd build-ci-release && GIST_STATS_SHADOW=1 \
+    ctest --output-on-failure --no-tests=error -j "${JOBS}" -L 'fleet|corpus')
+  # The time-to-sketch benchmark's own unit tests (sketchbench/README.md);
+  # run.py builds them into .bench_build/.
+  echo "=== [release] sketchbench unit tests ==="
+  python3 sketchbench/run.py --test
   # Perf smoke: the Release interpreter must stay within 30% of the committed
   # steps/second baseline (BENCH_interp.json, regenerated with
   # `micro_benchmarks --emit-json`). Strict mode: a missing or unreadable
