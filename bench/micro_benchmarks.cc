@@ -435,7 +435,6 @@ int Main(int argc, char** argv) {
     const double super_steps_per_sec = MeasureSuperStepsPerSecond(&fused_fraction);
     const double profiler_overhead = MeasureProfilerOverheadRatio();
     const double stats_update_ns = MeasureStatsIncrementalUpdateNs();
-    const WarmStartMeasurement warm = MeasureWarmStartSpeedup(/*jobs=*/1);
     const InvariantCounters counters = MeasureInvariantCounters();
     if (!UpdateBenchJson(
             emit_path,
@@ -443,7 +442,6 @@ int Main(int argc, char** argv) {
              {"vm_super_steps_per_sec", super_steps_per_sec},
              {"vm_super_fused_block_fraction", fused_fraction},
              {"vm_profiler_overhead_ratio", profiler_overhead},
-             {"vm_warm_start_speedup", warm.speedup},
              {"stats_incremental_update_ns", stats_update_ns},
              {"obs_instructions_retired", static_cast<double>(counters.instructions_retired)},
              {"obs_pt_packets_decoded", static_cast<double>(counters.pt_packets_decoded)},
@@ -458,9 +456,6 @@ int Main(int argc, char** argv) {
                 fused_fraction, emit_path.c_str());
     std::printf("vm_profiler_overhead_ratio: %.3f -> %s\n", profiler_overhead, emit_path.c_str());
     std::printf("stats_incremental_update_ns: %.1f -> %s\n", stats_update_ns, emit_path.c_str());
-    std::printf("vm_warm_start_speedup: %.2f (uncached %.3fs, warm %.3fs, %llu warm hits) -> %s\n",
-                warm.speedup, warm.uncached_seconds, warm.warm_seconds,
-                static_cast<unsigned long long>(warm.warm_hits), emit_path.c_str());
     std::printf("obs counters: retired=%llu pt_packets=%llu watch_traps=%llu "
                 "campaign_journal=%lluB -> %s\n",
                 static_cast<unsigned long long>(counters.instructions_retired),
@@ -584,39 +579,6 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr,
                      "perf smoke FAILED: stats incremental update %.1f ns exceeds ceiling %.1f\n",
                      stats_update_ns, stats_ceiling);
-        return 1;
-      }
-    }
-
-    // Warm-start gate: the artifact store must keep paying for itself. The
-    // floor is cushioned (70% of baseline, never below 1.10x) so machine
-    // noise cannot flake it while a cache that stopped hitting — e.g. a key
-    // derivation that no longer matches across campaigns — still fails. A
-    // zero-hit warm sweep fails outright regardless of wall-clock.
-    const auto warm_it = baseline.find("vm_warm_start_speedup");
-    if (warm_it == baseline.end()) {
-      if (smoke_strict) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: no vm_warm_start_speedup baseline in %s "
-                     "(--perf-smoke-strict)\n",
-                     smoke_path.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "perf smoke: no vm_warm_start_speedup in %s; skipping gate\n",
-                   smoke_path.c_str());
-    } else {
-      const WarmStartMeasurement warm = MeasureWarmStartSpeedup(/*jobs=*/1);
-      const double warm_floor = std::max(1.10, warm_it->second * 0.7);
-      std::printf("perf smoke: warm-start speedup %.2f vs %.2f baseline (floor %.2f, %llu hits)\n",
-                  warm.speedup, warm_it->second, warm_floor,
-                  static_cast<unsigned long long>(warm.warm_hits));
-      if (warm.warm_hits == 0) {
-        std::fprintf(stderr, "perf smoke FAILED: warm sweep had zero cache hits\n");
-        return 1;
-      }
-      if (warm.speedup < warm_floor) {
-        std::fprintf(stderr, "perf smoke FAILED: warm-start speedup %.2f below floor %.2f\n",
-                     warm.speedup, warm_floor);
         return 1;
       }
     }

@@ -182,17 +182,17 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
   }
   server_.ReportFailure(result.first_failure);
   if (needs_super) {
-    // Compile (or warm-start from the artifact store) the superinstruction
-    // tier once; every snapshot below ships it to super-tier runs.
+    // Compile the superinstruction tier once; every snapshot below ships it
+    // to super-tier runs.
     server_.BuildFusedTier(selection_profile);
   }
 
   // --- Phase 2: AsT iterations ---------------------------------------------
   double overhead_sum = 0.0;
   uint64_t overhead_samples = 0;
-  // Fused-tier activity over the consumed prefix. Tier-dependent by nature
-  // (like cache stats), so it reaches the recorder only through the
-  // annotation side channel at the end — never MetricsJson()/TraceJson().
+  // Fused-tier activity over the consumed prefix. Tier-dependent by nature,
+  // so it reaches the recorder only through the annotation side channel at
+  // the end — never MetricsJson()/TraceJson().
   uint64_t fused_chains = 0;
   uint64_t fused_blocks = 0;
   uint64_t fused_retired = 0;
@@ -580,29 +580,9 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
     // the combined snapshot inherits the fleet's determinism.
     recorder->metrics().Merge(server_.metrics());
   }
-  if (recorder != nullptr && options_.gist.store != nullptr) {
-    // Artifact-store stats go through the annotation side channel ONLY
-    // (like wall-clock): hit/miss counts necessarily differ between warm
-    // and cold campaigns, and MetricsJson()/TraceJson() must not
-    // (DESIGN.md §11). Counts are cumulative over the store's lifetime.
-    const StoreStats cache_stats = options_.gist.store->Snapshot();
-    const ArtifactKindStats total = cache_stats.Total();
-    for (size_t k = 0; k < kNumArtifactKinds; ++k) {
-      const ArtifactKindStats& kind = cache_stats.kinds[k];
-      const std::string name = ArtifactKindName(static_cast<ArtifactKind>(k));
-      recorder->Annotate("cache.hits." + name, static_cast<double>(kind.hits()));
-      recorder->Annotate("cache.misses." + name, static_cast<double>(kind.misses));
-      recorder->Annotate("cache.evictions." + name, static_cast<double>(kind.evictions));
-      recorder->Annotate("cache.bytes." + name, static_cast<double>(kind.bytes));
-    }
-    recorder->Annotate("cache.hits", static_cast<double>(total.hits()));
-    recorder->Annotate("cache.misses", static_cast<double>(total.misses));
-    recorder->Annotate("cache.evictions", static_cast<double>(total.evictions));
-    recorder->Annotate("cache.bytes", static_cast<double>(total.bytes));
-  }
   if (recorder != nullptr && server_.fused() != nullptr) {
     // Fused-tier telemetry is tier-dependent (a fast-tier fleet reports
-    // zeros), so it rides the same annotation side channel as cache stats.
+    // zeros), so it rides the annotation side channel.
     const FusedTierStats& tier = server_.fused()->stats();
     recorder->Annotate("fused.blocks_selected", static_cast<double>(tier.fused_blocks));
     recorder->Annotate("fused.blocks_fusable", static_cast<double>(tier.fusable_blocks));

@@ -111,8 +111,8 @@ struct FleetOptions {
   // coordinator — and records one CampaignIterationSample at the end of each
   // AsT iteration (sketch statement sequence, top predictor ranking,
   // rotation coverage, survivorship). The resulting gist.campaign.v1 journal
-  // is bit-identical for every `jobs`, execution tier, and cache state, like
-  // the recorder's exports. Null records nothing and costs nothing.
+  // is bit-identical for every `jobs` and execution tier, chaos faults on or
+  // off, like the recorder's exports. Null records nothing and costs nothing.
   CampaignTracker* campaign = nullptr;
   // Per-run execution-tier override (DESIGN.md §12): when set, monitored run
   // `run_index` executes under tier_for_run(run_index) instead of

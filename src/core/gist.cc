@@ -33,9 +33,8 @@ GistServer::IngestSlots::IngestSlots(MetricsRegistry* metrics)
 GistServer::GistServer(const Module& module, GistOptions options)
     : module_(module),
       options_(std::move(options)),
-      module_hash_(options_.store != nullptr ? HashModule(module) : ContentHash{}),
-      ticfg_(GetOrBuildTicfg(options_.store, module, module_hash_)),
-      decoded_(GetOrDecodeModule(options_.store, module, module_hash_)),
+      ticfg_(std::make_shared<const Ticfg>(module)),
+      decoded_(std::make_shared<const DecodedModule>(module)),
       behavior_(options_.beta),
       stats_shadow_(options_.stats_shadow || StatsShadowFromEnv()),
       ingest_(&metrics_) {}
@@ -44,7 +43,7 @@ void GistServer::ReportFailure(const FailureReport& report) {
   GIST_CHECK_NE(report.failing_instr, kNoInstr) << "failure report lacks a failing statement";
   has_target_ = true;
   target_hash_ = report.MatchHash();
-  slice_ = *GetOrComputeSlice(options_.store, *ticfg_, module_hash_, report.failing_instr);
+  slice_ = ComputeBackwardSlice(*ticfg_, report.failing_instr);
   ast_ = std::make_unique<AstController>(slice_, options_.initial_sigma, options_.ast_growth);
   traces_.clear();
   failure_summaries_.clear();
@@ -83,25 +82,22 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
   // rejects quarantines the whole trace (DESIGN.md §8). All cores are decoded
   // even after the first rejection: the decode-shape and error-class counters
   // must account every stream of the upload, or chaos fleets under-report
-  // exactly the traffic they were injected to produce. With an artifact
-  // store the decode itself may be a cache hit — the counters still add the
-  // (cached) stream's stats, so the metrics export is identical either way.
+  // exactly the traffic they were injected to produce.
   uint64_t upload_bytes = 0;
   bool quarantine = false;
-  std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
+  std::vector<DecodedCoreTrace> decoded;
   decoded.reserve(trace.pt_buffers.size());
   for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
     upload_bytes += trace.pt_buffers[core].size();
-    std::shared_ptr<const PtDecodeResult> decode = GetOrDecodePt(
-        options_.store, module_, module_hash_, static_cast<CoreId>(core), trace.pt_buffers[core]);
-    *ingest_.decode_packets += decode->stats.packets;
-    *ingest_.decode_bytes += decode->stats.bytes;
-    *ingest_.decode_tnt_bits += decode->stats.tnt_bits;
-    if (!decode->ok()) {
+    PtDecodeResult decode = DecodePt(module_, static_cast<CoreId>(core), trace.pt_buffers[core]);
+    *ingest_.decode_packets += decode.stats.packets;
+    *ingest_.decode_bytes += decode.stats.bytes;
+    *ingest_.decode_tnt_bits += decode.stats.tnt_bits;
+    if (!decode.ok()) {
       quarantine = true;
-      *ingest_.decode_errors[static_cast<size_t>(decode->error->fault)] += 1;
+      *ingest_.decode_errors[static_cast<size_t>(decode.error->fault)] += 1;
     } else {
-      decoded.push_back(std::move(decode));
+      decoded.push_back(std::move(decode.trace));
     }
   }
   if (quarantine) {
@@ -114,13 +110,9 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
 
   // Streaming statistics (DESIGN.md §14): the accepted run's predictor set
   // is extracted once right here — O(this run's events), reusing the decodes
-  // above and the same store key batch sketch builds share — and folded into
-  // the running BehaviorStats keyed by run identity, so a retried upload of
-  // an already-counted run cannot double-count.
-  behavior_.RecordRun(
-      trace.run_id,
-      *GetOrExtractTracePredictors(module_, options_.store, module_hash_, decoded, trace),
-      trace.failed);
+  // above — and folded into the running BehaviorStats keyed by run identity,
+  // so a retried upload of an already-counted run cannot double-count.
+  behavior_.RecordRun(trace.run_id, ExtractPredictors(decoded, trace.watch_events), trace.failed);
 
   if (trace.failed) {
     ++failure_recurrences_;
@@ -148,24 +140,11 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
 
 PlanSnapshot GistServer::Snapshot() const {
   GIST_CHECK(has_target_);
-  std::shared_ptr<const PlanSnapshot::RotationList> rotations;
-  if (options_.store != nullptr && plan_.watch_instrs.size() > options_.watchpoint_slots) {
-    // Re-freezes of an unchanged plan (iterations without a replan, warm
-    // campaigns on the same failure) reuse one materialized rotation list.
-    const ArtifactKey key =
-        PlanRotationsKey(module_hash_, HashPlan(plan_), options_.watchpoint_slots);
-    rotations = options_.store->GetOrBuildObject<PlanSnapshot::RotationList>(
-        key, &module_, ApproxPlanBytes(plan_) * (plan_.watch_instrs.size() + 1), [&] {
-          return std::make_shared<const PlanSnapshot::RotationList>(
-              PlanSnapshot::BuildRotations(plan_, options_.watchpoint_slots));
-        });
-  }
-  return PlanSnapshot(plan_, options_.watchpoint_slots, plan_version_, sigma(), decoded_,
-                      std::move(rotations), fused_);
+  return PlanSnapshot(plan_, options_.watchpoint_slots, plan_version_, sigma(), decoded_, fused_);
 }
 
 void GistServer::BuildFusedTier(const BlockProfile& profile) {
-  fused_ = GetOrBuildFusedModule(options_.store, decoded_, module_hash_, profile, options_.super);
+  fused_ = FusedModule::Build(decoded_, profile, options_.super);
 }
 
 Result<FailureSketch> GistServer::BuildSketch() const {
@@ -175,8 +154,6 @@ Result<FailureSketch> GistServer::BuildSketch() const {
   sketch_options.title = options_.title;
   sketch_options.discovered = &discovered_;
   sketch_options.quarantined = quarantined_traces_;
-  sketch_options.store = options_.store;
-  sketch_options.module_hash = module_hash_;
   sketch_options.behavior = &behavior_;
   sketch_options.summaries = &failure_summaries_;
   sketch_options.shadow_check = stats_shadow_;

@@ -15,12 +15,12 @@
 #ifndef GIST_SRC_CORE_GIST_H_
 #define GIST_SRC_CORE_GIST_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/analysis/slicer.h"
-#include "src/cache/factories.h"
 #include "src/core/ast_controller.h"
 #include "src/core/client_runtime.h"
 #include "src/core/instrumentation.h"
@@ -47,12 +47,8 @@ struct GistOptions {
   // (DESIGN.md §10). The fleet turns this on when a HotPathProfiler is
   // attached; off, monitored runs pay zero profiling cost.
   bool collect_profile = false;
-  // Optional content-addressed artifact store (DESIGN.md §11): Ticfg,
-  // DecodedModule, slices, PT decodes, and rotation lists are served from it
-  // when present, so repeated campaigns on the same module warm-start. Must
-  // outlive the server. Null: every artifact is built fresh — behavior and
-  // every export are byte-identical either way.
-  ArtifactStore* store = nullptr;
+  // Always null; only sketchbench/mirror.cc reads it. Goes away with the next benchmark change.
+  static constexpr std::nullptr_t store = nullptr;
   // Execution tier for monitored runs (DESIGN.md §12). kSuper additionally
   // requires the server to have built a FusedModule (BuildFusedTier) and the
   // snapshot to carry it; until then super-tier runs execute exactly like
@@ -117,19 +113,16 @@ class GistServer {
   // execution engine hands to monitored runs; the server itself stays on the
   // coordinator thread. The snapshot carries the server's pre-decoded module
   // cache, so every fleet run of it interprets from the same DecodedModule.
-  // With an artifact store, re-freezes of an unchanged plan reuse one
-  // materialized rotation list instead of rebuilding it per iteration.
   PlanSnapshot Snapshot() const;
 
   // The server's pre-decoded interpreter cache for module() (built once at
   // construction; immutable and safe to share across concurrent runs).
   const std::shared_ptr<const DecodedModule>& decoded() const { return decoded_; }
 
-  // Compiles (or re-fetches from the artifact store) the superinstruction
-  // tier from an aggregated block profile (DESIGN.md §12). Idempotent per
-  // profile: subsequent Snapshot() calls carry the result, and super-tier
-  // runs of those snapshots execute fused bodies. Coordinator-thread only,
-  // like every other server mutation.
+  // Compiles the superinstruction tier from an aggregated block profile
+  // (DESIGN.md §12). Idempotent per profile: subsequent Snapshot() calls
+  // carry the result, and super-tier runs of those snapshots execute fused
+  // bodies. Coordinator-thread only, like every other server mutation.
   void BuildFusedTier(const BlockProfile& profile);
 
   // The compiled superinstruction tier, or null before BuildFusedTier.
@@ -229,9 +222,6 @@ class GistServer {
 
   const Module& module_;
   GistOptions options_;
-  // Content identity of module_; keys every artifact-store lookup. Only
-  // computed when a store is attached.
-  ContentHash module_hash_;
   std::shared_ptr<const Ticfg> ticfg_;
   std::shared_ptr<const DecodedModule> decoded_;
   std::shared_ptr<const FusedModule> fused_;

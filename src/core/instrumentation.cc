@@ -4,7 +4,6 @@
 #include <map>
 #include <optional>
 
-#include "src/support/str.h"
 #include "src/vm/memory.h"
 
 namespace gist {
@@ -273,46 +272,6 @@ InstrumentationPlan PlanInstrumentation(const Ticfg& ticfg, const std::vector<In
   }
 
   return plan;
-}
-
-uint64_t HashPlan(const InstrumentationPlan& plan) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const auto& [function, block] : plan.pt_start_blocks) {
-    hash = HashCombine(HashCombine(hash, function), block);
-  }
-  auto hash_sorted_set = [&hash](const std::unordered_set<InstrId>& set) {
-    std::vector<InstrId> sorted(set.begin(), set.end());
-    std::sort(sorted.begin(), sorted.end());
-    hash = HashCombine(hash, sorted.size());
-    for (InstrId id : sorted) hash = HashCombine(hash, id);
-  };
-  hash_sorted_set(plan.pt_stop_instrs);
-  hash_sorted_set(plan.watch_instrs);
-  auto hash_arm_map = [&hash](const std::map<InstrId, std::vector<WatchArmSite>>& sites) {
-    hash = HashCombine(hash, sites.size());
-    for (const auto& [anchor, list] : sites) {
-      hash = HashCombine(hash, anchor);
-      for (const WatchArmSite& site : list) {
-        hash = HashCombine(HashCombine(hash, site.addr_reg), site.target_access);
-      }
-    }
-  };
-  hash_arm_map(plan.arm_after);
-  hash_arm_map(plan.arm_before);
-  hash = HashCombine(hash, plan.static_watch_addrs.size());
-  for (Addr addr : plan.static_watch_addrs) hash = HashCombine(hash, addr);
-  hash = HashCombine(hash, plan.window.size());
-  for (InstrId id : plan.window) hash = HashCombine(hash, id);
-  return hash;
-}
-
-size_t ApproxPlanBytes(const InstrumentationPlan& plan) {
-  size_t arm_sites = 0;
-  for (const auto& [anchor, list] : plan.arm_after) arm_sites += list.size();
-  for (const auto& [anchor, list] : plan.arm_before) arm_sites += list.size();
-  return 64 + plan.pt_start_blocks.size() * 16 + plan.pt_stop_instrs.size() * 8 +
-         plan.watch_instrs.size() * 8 + arm_sites * 24 + plan.static_watch_addrs.size() * 8 +
-         plan.window.size() * 4;
 }
 
 }  // namespace gist

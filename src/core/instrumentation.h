@@ -72,13 +72,6 @@ struct InstrumentationPlan {
 // static slice).
 InstrumentationPlan PlanInstrumentation(const Ticfg& ticfg, const std::vector<InstrId>& window);
 
-// Order-independent content hash over every plan field (unordered sets are
-// sorted first); the artifact-store key for cached rotation lists.
-uint64_t HashPlan(const InstrumentationPlan& plan);
-
-// Rough in-memory footprint, for artifact-store byte budgeting.
-size_t ApproxPlanBytes(const InstrumentationPlan& plan);
-
 // Resolves the address a shared-memory access touches when its address
 // operand constant-folds to a global (addrof-global chains with constant
 // offsets, via a backward reaching-def search over the access's function).

@@ -19,34 +19,10 @@ void FilterArmSites(const std::unordered_set<InstrId>& mine,
   }
 }
 
-}  // namespace
-
-PlanSnapshot::PlanSnapshot(InstrumentationPlan plan, uint32_t watchpoint_slots, uint64_t version,
-                           uint32_t sigma, std::shared_ptr<const DecodedModule> decoded,
-                           std::shared_ptr<const RotationList> rotations,
-                           std::shared_ptr<const FusedModule> fused)
-    : plan_(std::move(plan)),
-      slots_(watchpoint_slots),
-      version_(version),
-      sigma_(sigma),
-      decoded_(std::move(decoded)),
-      fused_(std::move(fused)),
-      rotations_(std::move(rotations)) {
-  if (rotations_ != nullptr) {
-    return;  // caller supplied the materialized list (artifact-store reuse)
-  }
-  if (plan_.watch_instrs.size() <= slots_) {
-    return;  // every client can watch the whole set; no rotation
-  }
-  rotations_ = std::make_shared<const RotationList>(BuildRotations(plan_, slots_));
-}
-
-PlanSnapshot::RotationList PlanSnapshot::BuildRotations(const InstrumentationPlan& plan,
-                                                        uint32_t slots) {
-  RotationList rotations;
-  if (plan.watch_instrs.size() <= slots) {
-    return rotations;
-  }
+// Materializes the §3.2.3 rotation windows of `plan` for `slots`-register
+// clients; the caller ensures the watch set exceeds the slots.
+PlanSnapshot::RotationList BuildRotations(const InstrumentationPlan& plan, uint32_t slots) {
+  PlanSnapshot::RotationList rotations;
   std::vector<InstrId> all(plan.watch_instrs.begin(), plan.watch_instrs.end());
   std::sort(all.begin(), all.end());
   rotations.reserve(all.size());
@@ -64,8 +40,24 @@ PlanSnapshot::RotationList PlanSnapshot::BuildRotations(const InstrumentationPla
   return rotations;
 }
 
+}  // namespace
+
+PlanSnapshot::PlanSnapshot(InstrumentationPlan plan, uint32_t watchpoint_slots, uint64_t version,
+                           uint32_t sigma, std::shared_ptr<const DecodedModule> decoded,
+                           std::shared_ptr<const FusedModule> fused)
+    : plan_(std::move(plan)),
+      slots_(watchpoint_slots),
+      version_(version),
+      sigma_(sigma),
+      decoded_(std::move(decoded)),
+      fused_(std::move(fused)) {
+  if (plan_.watch_instrs.size() > slots_) {
+    rotations_ = std::make_shared<const RotationList>(BuildRotations(plan_, slots_));
+  }
+}
+
 const InstrumentationPlan& PlanSnapshot::ForClient(uint64_t client_index) const {
-  if (rotations_ == nullptr || rotations_->empty()) {
+  if (rotations_ == nullptr) {
     return plan_;
   }
   return (*rotations_)[(client_index * slots_) % rotations_->size()];

@@ -39,21 +39,13 @@ class PlanSnapshot {
   // advance bumps it); `sigma` records the AsT window size the plan tracks.
   // `decoded` optionally ships the server's pre-decoded module cache so every
   // run of the snapshot interprets from the same read-only DecodedModule
-  // instead of re-decoding (DESIGN.md §7). `rotations` optionally supplies
-  // an already-materialized rotation list for exactly this (plan, slots) —
-  // the artifact store hands the same list to every re-freeze of an
-  // unchanged plan (DESIGN.md §11); when null the snapshot builds its own.
-  // `fused` optionally ships the server's superinstruction tier (DESIGN.md
-  // §12) so super-tier runs of the snapshot share one compiled FusedModule;
-  // null when the tier was never built or the caller runs fast/reference.
+  // instead of re-decoding (DESIGN.md §7). `fused` optionally ships the
+  // server's superinstruction tier (DESIGN.md §12) so super-tier runs of the
+  // snapshot share one compiled FusedModule; null when the tier was never
+  // built or the caller runs fast/reference.
   PlanSnapshot(InstrumentationPlan plan, uint32_t watchpoint_slots, uint64_t version,
                uint32_t sigma, std::shared_ptr<const DecodedModule> decoded = nullptr,
-               std::shared_ptr<const RotationList> rotations = nullptr,
                std::shared_ptr<const FusedModule> fused = nullptr);
-
-  // Materializes the §3.2.3 rotation windows of `plan` for `slots`-register
-  // clients; empty when the watch set fits the slots.
-  static RotationList BuildRotations(const InstrumentationPlan& plan, uint32_t slots);
 
   // The unrestricted plan (what the server would ship to a lone client).
   const InstrumentationPlan& base() const { return plan_; }
@@ -86,7 +78,7 @@ class PlanSnapshot {
   std::shared_ptr<const FusedModule> fused_;
   // Rotation r restricts the watch set to sorted accesses
   // [r, r + slots) mod |accesses|; indexed by (client * slots) mod size.
-  // Shared immutably: re-freezes of an unchanged plan reuse one list.
+  // Shared immutably by copies of the snapshot.
   std::shared_ptr<const RotationList> rotations_;
 };
 

@@ -128,20 +128,11 @@ bool TripleKind(bool w1, bool w2, bool w3, PredictorKind* out) {
 
 std::vector<Predictor> ExtractPredictors(const std::vector<DecodedCoreTrace>& control_flow,
                                          const std::vector<WatchEvent>& data_flow) {
-  std::vector<const DecodedCoreTrace*> view;
-  view.reserve(control_flow.size());
-  for (const DecodedCoreTrace& trace : control_flow) view.push_back(&trace);
-  return ExtractPredictorsViews(view, data_flow);
-}
-
-std::vector<Predictor> ExtractPredictorsViews(
-    const std::vector<const DecodedCoreTrace*>& control_flow,
-    const std::vector<WatchEvent>& data_flow) {
   std::set<Predictor> found;
 
   // Branch predictors from the decoded control flow.
-  for (const DecodedCoreTrace* trace : control_flow) {
-    for (const PtBranch& branch : trace->branches) {
+  for (const DecodedCoreTrace& trace : control_flow) {
+    for (const PtBranch& branch : trace.branches) {
       Predictor predictor;
       predictor.kind = PredictorKind::kBranch;
       predictor.a = branch.instr;

@@ -68,11 +68,6 @@ std::string PredictorToString(const Predictor& predictor, const Module& module);
 // Extracts the deduplicated predictor set of one run.
 std::vector<Predictor> ExtractPredictors(const std::vector<DecodedCoreTrace>& control_flow,
                                          const std::vector<WatchEvent>& data_flow);
-// Pointer-view flavor for callers holding shared cached decodes (named
-// distinctly: a braced-init-list argument would make an overload ambiguous).
-std::vector<Predictor> ExtractPredictorsViews(
-    const std::vector<const DecodedCoreTrace*>& control_flow,
-    const std::vector<WatchEvent>& data_flow);
 
 }  // namespace gist
 

@@ -6,7 +6,6 @@
 
 #include "src/pt/decoder.h"
 #include "src/support/check.h"
-#include "src/support/str.h"
 
 namespace gist {
 
@@ -49,54 +48,9 @@ struct LayoutEntry {
   bool discovered = false;
 };
 
-// Borrowed views over shared cached decodes, for the pointer-view overloads.
-std::vector<const DecodedCoreTrace*> TraceViews(
-    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded) {
-  std::vector<const DecodedCoreTrace*> views;
-  views.reserve(decoded.size());
-  for (const auto& result : decoded) views.push_back(&result->trace);
-  return views;
-}
-
-// Cache key for one trace's extracted predictor set: a pure function of
-// (module, PT buffers, watch log). Ingest and batch sketch builds share it,
-// so a shadow-mode rebuild re-extracts nothing ingest already extracted.
-ArtifactKey PredictorsKey(const ContentHash& module_hash, const RunTrace& trace) {
-  uint64_t hi = module_hash.hi;
-  uint64_t lo = module_hash.lo;
-  for (const std::vector<uint8_t>& bytes : trace.pt_buffers) {
-    const ContentHash stream = HashContent(bytes.data(), bytes.size());
-    hi = HashCombine(hi, stream.hi);
-    lo = HashCombine(lo, stream.lo);
-  }
-  for (const WatchEvent& event : trace.watch_events) {
-    hi = HashCombine(hi, HashCombine(event.seq, HashCombine(event.instr, event.tid)));
-    lo = HashCombine(lo, HashCombine(static_cast<uint64_t>(event.addr),
-                                     HashCombine(static_cast<uint64_t>(event.value),
-                                                 event.is_write ? 1u : 0u)));
-  }
-  return ArtifactKey{ArtifactKind::kPredictors, hi, lo};
-}
-
 }  // namespace
 
-std::shared_ptr<const std::vector<Predictor>> GetOrExtractTracePredictors(
-    const Module& module, ArtifactStore* store, const ContentHash& module_hash,
-    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded, const RunTrace& trace) {
-  auto build = [&] {
-    return std::make_shared<const std::vector<Predictor>>(
-        ExtractPredictorsViews(TraceViews(decoded), trace.watch_events));
-  };
-  if (store == nullptr) {
-    return build();
-  }
-  const size_t approx_bytes = 128 + trace.watch_events.size() * 3 * sizeof(Predictor);
-  return store->GetOrBuildObject<std::vector<Predictor>>(PredictorsKey(module_hash, trace),
-                                                         &module, approx_bytes, build);
-}
-
-TraceSummary SummarizeTrace(const Module& module,
-                            const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded) {
+TraceSummary SummarizeTrace(const Module& module, const std::vector<DecodedCoreTrace>& decoded) {
   // Dense per-thread tables indexed by InstrId: next position, and the last
   // position each statement ran at (-1: never).
   struct ThreadState {
@@ -104,8 +58,8 @@ TraceSummary SummarizeTrace(const Module& module,
     std::vector<int64_t> last;
   };
   std::map<ThreadId, ThreadState> threads;
-  for (const auto& decode_result : decoded) {
-    for (const PtVisit& visit : decode_result->trace.visits) {
+  for (const DecodedCoreTrace& core_trace : decoded) {
+    for (const PtVisit& visit : core_trace.visits) {
       if (visit.first_index > visit.last_index) {
         continue;  // truncated-away visit
       }
@@ -192,30 +146,23 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   uint64_t quarantined = options.quarantined;
   if (need_batch) {
     for (const RunTrace& trace : traces) {
-      std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
+      std::vector<DecodedCoreTrace> decoded;
       bool decodable = true;
       for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
-        // Decodes share the artifact store with ingest: the same (module,
-        // core, bytes) key the server decoded at AddTrace time hits here.
-        std::shared_ptr<const PtDecodeResult> one = GetOrDecodePt(
-            options.store, module, options.module_hash, static_cast<CoreId>(core),
-            trace.pt_buffers[core]);
-        if (!one->ok()) {
+        PtDecodeResult one = DecodePt(module, static_cast<CoreId>(core), trace.pt_buffers[core]);
+        if (!one.ok()) {
           // Corrupt upload that bypassed server ingestion: quarantine it here
           // rather than abandoning the sketch (DESIGN.md §8).
           decodable = false;
           break;
         }
-        decoded.push_back(std::move(one));
+        decoded.push_back(std::move(one.trace));
       }
       if (!decodable) {
         ++quarantined;
         continue;
       }
-      batch.RecordRun(trace.run_id,
-                      *GetOrExtractTracePredictors(module, options.store, options.module_hash,
-                                                   decoded, trace),
-                      trace.failed);
+      batch.RecordRun(trace.run_id, ExtractPredictors(decoded, trace.watch_events), trace.failed);
       if (trace.failed) {
         failing.push_back(&trace);
         rebuilt.push_back(SummarizeTrace(module, decoded));

@@ -23,15 +23,14 @@
 #define GIST_SRC_CORE_SKETCH_H_
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "src/cache/factories.h"
 #include "src/core/run_trace.h"
 #include "src/core/statistics.h"
 #include "src/ir/module.h"
+#include "src/pt/decoder.h"
 #include "src/support/result.h"
 
 namespace gist {
@@ -108,8 +107,7 @@ struct TraceSummary {
 };
 
 // Summarises one trace's decoded PT streams, given in core order.
-TraceSummary SummarizeTrace(const Module& module,
-                            const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded);
+TraceSummary SummarizeTrace(const Module& module, const std::vector<DecodedCoreTrace>& decoded);
 
 struct SketchOptions {
   double beta = kDefaultBeta;
@@ -121,12 +119,6 @@ struct SketchOptions {
   // Uploads the server already quarantined before `traces`; carried into
   // FailureSketch::quarantined_traces so the sketch reports the full count.
   uint64_t quarantined = 0;
-  // Optional artifact store (DESIGN.md §11) for the batch path's PT decodes
-  // and predictor extraction; the keys match ingest's, so even a cold
-  // campaign hits here. `module_hash` must be the content hash of the module
-  // passed to BuildFailureSketch; ignored when `store` is null.
-  ArtifactStore* store = nullptr;
-  ContentHash module_hash;
   // Streaming state maintained by the trace-ingest path (DESIGN.md §14),
   // set together. `behavior` is the running predictor aggregation the sketch
   // ranks from; `summaries` holds one TraceSummary per failing trace of
@@ -145,14 +137,6 @@ struct SketchOptions {
   // GIST_STATS_SHADOW=1 turn it on.
   bool shadow_check = false;
 };
-
-// Extracts one trace's deduplicated predictor set from its decoded PT
-// streams and watch log, through the artifact store when one is attached.
-// Pure function of (module, PT buffers, watch log); ingest and sketch builds
-// share the same store key, so whichever runs first pays the extraction.
-std::shared_ptr<const std::vector<Predictor>> GetOrExtractTracePredictors(
-    const Module& module, ArtifactStore* store, const ContentHash& module_hash,
-    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded, const RunTrace& trace);
 
 // Builds a sketch from the monitored runs. `window` is the slice portion AsT
 // currently tracks; `traces` are all collected run traces (at least one

@@ -186,15 +186,4 @@ std::shared_ptr<const FusedModule> FusedModule::Build(
   return fused;
 }
 
-size_t ApproxFusedModuleBytes(const FusedModule& fused) {
-  size_t ops = 0;
-  for (const FusedBlock* entry : fused.entries()) {
-    if (entry != nullptr) {
-      ops += entry->ops.size();
-    }
-  }
-  return ops * sizeof(FusedOp) + fused.stats().fused_blocks * sizeof(FusedBlock) +
-         fused.entries().size() * sizeof(const FusedBlock*);
-}
-
 }  // namespace gist

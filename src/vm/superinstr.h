@@ -27,8 +27,7 @@
 //
 // A FusedModule borrows instruction pointers from its DecodedModule (shared
 // ownership) and is immutable after Build, so one instance is safely shared
-// by concurrent VM runs; the artifact store caches it per
-// (module hash, profile hash, threshold) — see src/cache/factories.h.
+// by concurrent VM runs.
 
 #ifndef GIST_SRC_VM_SUPERINSTR_H_
 #define GIST_SRC_VM_SUPERINSTR_H_
@@ -166,9 +165,6 @@ class FusedModule {
 // Shared with the profiler's fused-coverage export, so selection and
 // reporting can never disagree.
 bool IsFusableBlock(const DecodedBlock& block);
-
-// Memory-budget estimate for the artifact store.
-size_t ApproxFusedModuleBytes(const FusedModule& fused);
 
 }  // namespace gist
 

@@ -1,6 +1,6 @@
 // Campaign-observatory determinism contract (DESIGN.md §14):
 //   1. the gist.campaign.v1 journal is byte-identical for every worker
-//      count, execution tier, and cache state, chaos on or off — the tracker
+//      count and execution tier, chaos on or off — the tracker
 //      only sees coordinator-merged, run-index-ordered state;
 //   2. the streaming (incremental) BehaviorStats aggregation is byte-
 //      identical to a batch recompute over the stored traces, on every
@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "src/apps/app.h"
-#include "src/cache/artifact_store.h"
-#include "src/cache/factories.h"
 #include "src/coop/fleet.h"
 #include "src/corpus/corpus.h"
 #include "src/corpus/score.h"
@@ -128,21 +126,18 @@ CampaignFleet RunCampaignFleet(const BugApp& app, FleetOptions options) {
   BehaviorStats replay;
   for (const RunTrace& trace : server.traces()) {
     // Server-accepted traces are guaranteed decodable (ingest validation).
-    std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
+    std::vector<DecodedCoreTrace> decoded;
     for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
-      decoded.push_back(GetOrDecodePt(nullptr, app.module(), ContentHash{},
-                                      static_cast<CoreId>(core), trace.pt_buffers[core]));
+      decoded.push_back(
+          DecodePt(app.module(), static_cast<CoreId>(core), trace.pt_buffers[core]).trace);
     }
-    replay.RecordRun(
-        trace.run_id,
-        *GetOrExtractTracePredictors(app.module(), nullptr, ContentHash{}, decoded, trace),
-        trace.failed);
+    replay.RecordRun(trace.run_id, ExtractPredictors(decoded, trace.watch_events), trace.failed);
   }
   out.batch_fingerprint = replay.Fingerprint();
   return out;
 }
 
-TEST(FleetCampaignTest, JournalBitIdenticalAcrossJobsTiersAndCache) {
+TEST(FleetCampaignTest, JournalBitIdenticalAcrossJobsAndTiers) {
   std::unique_ptr<BugApp> app = MakeAppByName("apache-2");
   ASSERT_NE(app, nullptr);
   for (const bool faulted : {false, true}) {
@@ -166,19 +161,6 @@ TEST(FleetCampaignTest, JournalBitIdenticalAcrossJobsTiersAndCache) {
         EXPECT_EQ(sequential.journal, other.journal);
         EXPECT_EQ(sequential.sketch_render, other.sketch_render);
       }
-    }
-
-    // Cache cold, then warm against the same store: the journal must not see
-    // the artifact store at all.
-    ArtifactStore store;
-    for (const char* pass : {"cold", "warm"}) {
-      FleetOptions cached = base;
-      cached.jobs = 4;
-      cached.gist.store = &store;
-      SCOPED_TRACE(pass);
-      const CampaignFleet other = RunCampaignFleet(*app, cached);
-      EXPECT_EQ(sequential.journal, other.journal);
-      EXPECT_EQ(sequential.sketch_render, other.sketch_render);
     }
   }
 }

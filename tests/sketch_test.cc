@@ -238,11 +238,11 @@ class SummarizeTraceTest : public ::testing::Test {
     setter_ = module_->FindFunction("setter");
   }
 
-  static std::shared_ptr<const PtDecodeResult> Decode(CoreId core, std::vector<PtVisit> visits) {
-    auto result = std::make_shared<PtDecodeResult>();
-    result->trace.core = core;
-    result->trace.visits = std::move(visits);
-    return result;
+  static DecodedCoreTrace Decode(CoreId core, std::vector<PtVisit> visits) {
+    DecodedCoreTrace trace;
+    trace.core = core;
+    trace.visits = std::move(visits);
+    return trace;
   }
 
   InstrId Entry(FunctionId function, uint32_t index) const {

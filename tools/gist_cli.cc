@@ -30,10 +30,6 @@
 //       Diff two deterministic profile exports (--profile-json); exit 1 when
 //       any block's retired count drifts past the threshold. tools/ci.sh
 //       runs this as the perf gate against the committed BENCH_profile.json.
-//   gist cache [stats.json] [--cache-dir DIR] [--cache-purge]
-//       Summarize an artifact-store stats export (--cache-stats-json) as a
-//       per-artifact hit-rate table, report what a --cache-dir holds on disk,
-//       and optionally purge it.
 //   gist status <campaign.json>
 //       Render a --campaign-json export (gist.campaign.v1) as the live
 //       diagnosis dashboard: per-iteration convergence rows plus the current
@@ -54,6 +50,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,7 +61,6 @@
 
 #include "src/apps/app.h"
 #include "src/apps/app_util.h"
-#include "src/cache/artifact_store.h"
 #include "src/coop/fleet.h"
 #include "src/corpus/corpus.h"
 #include "src/corpus/score.h"
@@ -93,11 +89,6 @@ struct CliOptions {
   TelemetryExportOptions exports;  // shared --*-json export surface (app_util.h)
   std::string log_level;     // debug|info|warning|error
   std::string tier;          // fast|ref|super execution tier (DESIGN.md §12)
-  std::string cache_dir;          // on-disk artifact-store tier (DESIGN.md §11)
-  uint64_t cache_mem_mb = 256;    // in-memory artifact budget
-  std::string cache_stats_json;   // write the store's gist.cachestats.v1 export
-  bool cache_verify = false;      // byte-verify every serialized cache hit
-  bool use_cache = false;         // any cache flag given: build a store
 };
 
 int Usage() {
@@ -111,7 +102,6 @@ int Usage() {
                "       gist profdiff <baseline.json> <current.json> [--top N] "
                "[--max-drift-permille P]\n"
                "       gist status <campaign.json>\n"
-               "       gist cache [stats.json] [--cache-dir DIR] [--cache-purge]\n"
                "       gist corpus gen --out DIR [--seed N] [--count N] [--families a,b,c]\n"
                "       gist corpus run [--dir DIR | --seed N --count N] [--jobs N]\n"
                "           [--tier fast|ref|super] [--chaos] [--fleet-seed N]\n"
@@ -134,14 +124,7 @@ int Usage() {
                "                          (app;function;block count per line)\n"
                "  --campaign-json <path>  write the sketch-convergence journal\n"
                "                          (gist.campaign.v1; diagnose/diagnose-app/fix-app —\n"
-               "                          render it with `gist status`)\n"
-               "  --cache-dir <dir>       persist slices and PT decodes across runs in a\n"
-               "                          content-addressed on-disk store (warm starts)\n"
-               "  --cache-mem-mb <N>      in-memory artifact budget in MiB (default 256)\n"
-               "  --cache-stats-json <path>  write the store's hit/miss/eviction stats\n"
-               "                          (gist.cachestats.v1; readable by `gist cache`)\n"
-               "  --cache-verify          rebuild every serialized cache hit and require\n"
-               "                          byte equality (also via GIST_CACHE_VERIFY=1)\n");
+               "                          render it with `gist status`)\n");
   return 2;
 }
 
@@ -159,37 +142,29 @@ bool ApplyTier(const CliOptions& options, FleetOptions* fleet_options) {
   return true;
 }
 
-// Builds the artifact store requested by the cache flags; null when none was
-// given (the library then builds everything fresh — byte-identical results).
-std::unique_ptr<ArtifactStore> MakeStore(const CliOptions& options) {
-  if (!options.use_cache) {
-    return nullptr;
+// Consumes the value of the numeric flag argv[*i] into `*out`. The value
+// must be a non-empty run of decimal digits that fits in 64 bits; anything
+// else (a sign, trailing characters, overflow) is a usage error.
+bool NextUint(int argc, char** argv, int* i, uint64_t* out) {
+  if (*i + 1 >= argc) {
+    return false;
   }
-  ArtifactStoreOptions store_options;
-  store_options.mem_budget_bytes = options.cache_mem_mb * 1024 * 1024;
-  store_options.disk_dir = options.cache_dir;
-  store_options.verify = options.cache_verify;
-  return std::make_unique<ArtifactStore>(store_options);
-}
-
-// Writes the store's stats export when --cache-stats-json was given.
-bool ExportCacheStats(const ArtifactStore* store, const CliOptions& options) {
-  if (store == nullptr || options.cache_stats_json.empty()) {
-    return true;
+  const char* flag = argv[*i];
+  const char* text = argv[++*i];
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "error: %s wants a non-negative integer, got '%s'\n", flag, text);
+    return false;
   }
-  return WriteTelemetryFile(options.cache_stats_json, store->StatsJson());
+  *out = value;
+  return true;
 }
 
 bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
   for (int i = first; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto next_value = [&](uint64_t* out) {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      *out = std::strtoull(argv[++i], nullptr, 10);
-      return true;
-    };
     switch (ParseTelemetryExportFlag(argc, argv, &i, &options->exports)) {
       case TelemetryFlagParse::kConsumed:
         continue;
@@ -199,19 +174,19 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
         break;
     }
     if (arg == "--seed") {
-      if (!next_value(&options->seed)) {
+      if (!NextUint(argc, argv, &i, &options->seed)) {
         return false;
       }
     } else if (arg == "--runs") {
-      if (!next_value(&options->runs)) {
+      if (!NextUint(argc, argv, &i, &options->runs)) {
         return false;
       }
     } else if (arg == "--fleet-seed") {
-      if (!next_value(&options->fleet_seed)) {
+      if (!NextUint(argc, argv, &i, &options->fleet_seed)) {
         return false;
       }
     } else if (arg == "--jobs") {
-      if (!next_value(&options->jobs)) {
+      if (!NextUint(argc, argv, &i, &options->jobs)) {
         return false;
       }
     } else if (arg == "--inputs") {
@@ -231,26 +206,6 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
         return false;
       }
       options->tier = argv[++i];
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options->cache_dir = argv[++i];
-      options->use_cache = true;
-    } else if (arg == "--cache-mem-mb") {
-      if (!next_value(&options->cache_mem_mb)) {
-        return false;
-      }
-      options->use_cache = true;
-    } else if (arg == "--cache-stats-json") {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      options->cache_stats_json = argv[++i];
-      options->use_cache = true;
-    } else if (arg == "--cache-verify") {
-      options->cache_verify = true;
-      options->use_cache = true;
     } else if (options->path.empty()) {
       options->path = std::string(arg);
     } else {
@@ -418,10 +373,8 @@ int CmdDiagnose(const CliOptions& options) {
     return 1;
   }
 
-  std::unique_ptr<ArtifactStore> store = MakeStore(options);
   GistOptions gist_options;
   gist_options.title = options.path;
-  gist_options.store = store.get();
   GistServer server(**module, gist_options);
   server.ReportFailure(report);
   CampaignTracker campaign(options.path);
@@ -501,9 +454,6 @@ int CmdDiagnose(const CliOptions& options) {
   if (!ExportTelemetry(rest, nullptr, nullptr, &campaign)) {
     return 1;
   }
-  if (!ExportCacheStats(store.get(), options)) {
-    return 1;
-  }
   return 0;
 }
 
@@ -525,12 +475,10 @@ int CmdDiagnoseApp(const CliOptions& options) {
   FlightRecorder recorder;
   HotPathProfiler profiler;
   CampaignTracker campaign(app->info().name);
-  std::unique_ptr<ArtifactStore> store = MakeStore(options);
   FleetOptions fleet_options;
   fleet_options.fleet_seed = options.fleet_seed;
   fleet_options.jobs = static_cast<uint32_t>(options.jobs);
   fleet_options.gist.title = app->info().name;
-  fleet_options.gist.store = store.get();
   fleet_options.recorder = &recorder;
   if (!ApplyTier(options, &fleet_options)) {
     return 2;
@@ -552,8 +500,7 @@ int CmdDiagnoseApp(const CliOptions& options) {
     }
     return true;
   });
-  if (!ExportTelemetry(options.exports, &recorder, &profiler, &campaign) ||
-      !ExportCacheStats(store.get(), options)) {
+  if (!ExportTelemetry(options.exports, &recorder, &profiler, &campaign)) {
     return 1;
   }
   if (!result.first_failure_found) {
@@ -591,12 +538,10 @@ int CmdFixApp(const CliOptions& options) {
   FlightRecorder recorder;
   HotPathProfiler profiler;
   CampaignTracker campaign(app->info().name);
-  std::unique_ptr<ArtifactStore> store = MakeStore(options);
   FleetOptions fleet_options;
   fleet_options.fleet_seed = options.fleet_seed;
   fleet_options.jobs = static_cast<uint32_t>(options.jobs);
   fleet_options.gist.title = app->info().name;
-  fleet_options.gist.store = store.get();
   fleet_options.recorder = &recorder;
   if (!ApplyTier(options, &fleet_options)) {
     return 2;
@@ -618,8 +563,7 @@ int CmdFixApp(const CliOptions& options) {
     }
     return true;
   });
-  if (!ExportTelemetry(options.exports, &recorder, &profiler, &campaign) ||
-      !ExportCacheStats(store.get(), options)) {
+  if (!ExportTelemetry(options.exports, &recorder, &profiler, &campaign)) {
     return 1;
   }
   if (!result.root_cause_found) {
@@ -665,15 +609,15 @@ int CmdProfDiff(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--top") {
-      if (i + 1 >= argc) {
+      uint64_t top_n = 0;
+      if (!NextUint(argc, argv, &i, &top_n)) {
         return Usage();
       }
-      diff_options.top_n = static_cast<uint32_t>(std::strtoull(argv[++i], nullptr, 10));
+      diff_options.top_n = static_cast<uint32_t>(top_n);
     } else if (arg == "--max-drift-permille") {
-      if (i + 1 >= argc) {
+      if (!NextUint(argc, argv, &i, &diff_options.max_drift_permille)) {
         return Usage();
       }
-      diff_options.max_drift_permille = std::strtoull(argv[++i], nullptr, 10);
     } else if (!arg.empty() && arg[0] == '-') {
       return Usage();
     } else {
@@ -704,9 +648,10 @@ int CmdProfDiff(int argc, char** argv) {
   return diff.ok ? 0 : 1;
 }
 
-// Parses a flat key→number JSON object (the gist.cachestats.v1 shape: one
-// scalar per line, no nesting). String-valued entries like "schema" are
-// skipped. Returns false when nothing numeric parsed.
+// Parses a flat key→number JSON object (one scalar per key, no nesting —
+// the shape of the campaign journal's status block and iteration rows).
+// String-valued entries are skipped. Returns false when nothing numeric
+// parsed.
 bool ParseFlatNumberJson(const std::string& text, std::map<std::string, uint64_t>* out) {
   size_t pos = 0;
   while ((pos = text.find('"', pos)) != std::string::npos) {
@@ -738,97 +683,6 @@ bool ParseFlatNumberJson(const std::string& text, std::map<std::string, uint64_t
   return !out->empty();
 }
 
-// `gist cache [stats.json] [--cache-dir DIR] [--cache-purge]` — inspect a
-// store's stats export and/or its on-disk tier.
-int CmdCache(int argc, char** argv) {
-  std::string stats_path;
-  std::string cache_dir;
-  bool purge = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--cache-dir") {
-      if (i + 1 >= argc) {
-        return Usage();
-      }
-      cache_dir = argv[++i];
-    } else if (arg == "--cache-purge") {
-      purge = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else if (stats_path.empty()) {
-      stats_path = std::string(arg);
-    } else {
-      return Usage();
-    }
-  }
-  if (stats_path.empty() && cache_dir.empty()) {
-    return Usage();
-  }
-  if (purge && cache_dir.empty()) {
-    std::fprintf(stderr, "error: --cache-purge needs --cache-dir\n");
-    return 2;
-  }
-
-  if (!stats_path.empty()) {
-    std::ifstream file(stats_path, std::ios::binary);
-    if (!file) {
-      std::fprintf(stderr, "error: cannot open %s\n", stats_path.c_str());
-      return 1;
-    }
-    std::ostringstream text;
-    text << file.rdbuf();
-    std::map<std::string, uint64_t> stats;
-    if (!ParseFlatNumberJson(text.str(), &stats)) {
-      std::fprintf(stderr, "error: %s has no cache stats\n", stats_path.c_str());
-      return 1;
-    }
-    auto value = [&](const std::string& key) {
-      auto it = stats.find(key);
-      return it == stats.end() ? uint64_t{0} : it->second;
-    };
-    std::printf("%-16s %10s %10s %8s %10s %12s\n", "artifact", "hits", "misses", "hit%",
-                "evictions", "bytes");
-    for (size_t kind = 0; kind < kNumArtifactKinds; ++kind) {
-      const std::string name = ArtifactKindName(static_cast<ArtifactKind>(kind));
-      const uint64_t hits = value("cache.hits." + name);
-      const uint64_t misses = value("cache.misses." + name);
-      const uint64_t lookups = hits + misses;
-      std::printf("%-16s %10llu %10llu %7.1f%% %10llu %12llu\n", name.c_str(),
-                  static_cast<unsigned long long>(hits), static_cast<unsigned long long>(misses),
-                  lookups == 0 ? 0.0 : 100.0 * static_cast<double>(hits) / lookups,
-                  static_cast<unsigned long long>(value("cache.evictions." + name)),
-                  static_cast<unsigned long long>(value("cache.bytes." + name)));
-    }
-    const uint64_t hits = value("cache.hits");
-    const uint64_t lookups = hits + value("cache.misses");
-    std::printf("%-16s %10llu %10llu %7.1f%% %10llu %12llu\n", "total",
-                static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(value("cache.misses")),
-                lookups == 0 ? 0.0 : 100.0 * static_cast<double>(hits) / lookups,
-                static_cast<unsigned long long>(value("cache.evictions")),
-                static_cast<unsigned long long>(value("cache.bytes")));
-  }
-
-  if (!cache_dir.empty()) {
-    const auto scan = ArtifactStore::ScanDisk(cache_dir);
-    std::printf("\ndisk tier %s:\n", cache_dir.c_str());
-    if (scan.empty()) {
-      std::printf("  (empty)\n");
-    }
-    for (const auto& [name, entry] : scan) {
-      std::printf("  %-16s %6llu records %12llu bytes %llu corrupt\n", name.c_str(),
-                  static_cast<unsigned long long>(entry.records),
-                  static_cast<unsigned long long>(entry.bytes),
-                  static_cast<unsigned long long>(entry.corrupt));
-    }
-    if (purge) {
-      const uint64_t removed = ArtifactStore::PurgeDisk(cache_dir);
-      std::printf("purged %llu files\n", static_cast<unsigned long long>(removed));
-    }
-  }
-  return 0;
-}
-
 // --- `gist corpus` ----------------------------------------------------------
 
 struct CorpusCliArgs {
@@ -845,9 +699,6 @@ struct CorpusCliArgs {
   std::string score_json;
   std::string baseline;
   std::string write_baseline;
-  std::string cache_dir;
-  uint64_t cache_mem_mb = 256;
-  bool use_cache = false;
   bool render = false;  // print each program's final sketch after the table
   TelemetryExportOptions exports;  // --metrics-json / --trace-json for the sweep
 };
@@ -864,13 +715,6 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
       case TelemetryFlagParse::kNotTelemetry:
         break;
     }
-    auto next_value = [&](uint64_t* out) {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      *out = std::strtoull(argv[++i], nullptr, 10);
-      return true;
-    };
     auto next_string = [&](std::string* out) {
       if (i + 1 >= argc) {
         return false;
@@ -883,11 +727,11 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
         return false;
       }
     } else if (arg == "--seed") {
-      if (!next_value(&args->seed)) {
+      if (!NextUint(argc, argv, &i, &args->seed)) {
         return false;
       }
     } else if (arg == "--count") {
-      if (!next_value(&args->count)) {
+      if (!NextUint(argc, argv, &i, &args->count)) {
         return false;
       }
     } else if (arg == "--families") {
@@ -904,7 +748,7 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
         args->families.push_back(family);
       }
     } else if (arg == "--jobs") {
-      if (!next_value(&args->jobs)) {
+      if (!NextUint(argc, argv, &i, &args->jobs)) {
         return false;
       }
     } else if (arg == "--tier") {
@@ -916,15 +760,15 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
     } else if (arg == "--render") {
       args->render = true;
     } else if (arg == "--fleet-seed") {
-      if (!next_value(&args->fleet_seed)) {
+      if (!NextUint(argc, argv, &i, &args->fleet_seed)) {
         return false;
       }
     } else if (arg == "--runs-per-iteration") {
-      if (!next_value(&args->runs_per_iteration)) {
+      if (!NextUint(argc, argv, &i, &args->runs_per_iteration)) {
         return false;
       }
     } else if (arg == "--max-iterations") {
-      if (!next_value(&args->max_iterations)) {
+      if (!NextUint(argc, argv, &i, &args->max_iterations)) {
         return false;
       }
     } else if (arg == "--score-json") {
@@ -939,16 +783,6 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
       if (!next_string(&args->write_baseline)) {
         return false;
       }
-    } else if (arg == "--cache-dir") {
-      if (!next_string(&args->cache_dir)) {
-        return false;
-      }
-      args->use_cache = true;
-    } else if (arg == "--cache-mem-mb") {
-      if (!next_value(&args->cache_mem_mb)) {
-        return false;
-      }
-      args->use_cache = true;
     } else {
       std::fprintf(stderr, "unknown corpus flag '%.*s'\n", static_cast<int>(arg.size()),
                    arg.data());
@@ -1078,15 +912,6 @@ int CmdCorpusRun(const CorpusCliArgs& args, bool gate) {
   if (args.exports.wants_recorder()) {
     score_options.recorder = &recorder;
   }
-  std::unique_ptr<ArtifactStore> store;
-  if (args.use_cache) {
-    ArtifactStoreOptions store_options;
-    store_options.mem_budget_bytes = args.cache_mem_mb * 1024 * 1024;
-    store_options.disk_dir = args.cache_dir;
-    store = std::make_unique<ArtifactStore>(store_options);
-    score_options.store = store.get();
-  }
-
   const CorpusScore score = ScoreCorpus(programs, score_options);
   PrintCorpusScore(score);
   if (args.render) {
@@ -1327,9 +1152,6 @@ int Main(int argc, char** argv) {
   }
   if (command == "profdiff") {
     return CmdProfDiff(argc, argv);
-  }
-  if (command == "cache") {
-    return CmdCache(argc, argv);
   }
   if (command == "corpus") {
     return CmdCorpus(argc, argv);
