@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 #include "src/analysis/slicer.h"
 #include "src/core/instrumentation.h"
+#include "src/support/json.h"
 #include "src/support/str.h"
 
 namespace gist {
@@ -159,72 +158,12 @@ BreakdownResult MeasureBreakdown(const std::string& name, const FleetOptions& op
   return breakdown;
 }
 
-std::map<std::string, double> ReadBenchJson(const std::string& path) {
-  std::map<std::string, double> values;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return values;
-  }
-  std::string text;
-  char chunk[4096];
-  size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    text.append(chunk, got);
-  }
-  std::fclose(file);
-
-  // Flat {"key": number, ...} objects only; anything else parses as empty.
-  size_t pos = 0;
-  while (true) {
-    const size_t open = text.find('"', pos);
-    if (open == std::string::npos) {
-      break;
-    }
-    const size_t close = text.find('"', open + 1);
-    if (close == std::string::npos) {
-      break;
-    }
-    const size_t colon = text.find(':', close);
-    if (colon == std::string::npos) {
-      break;
-    }
-    const std::string key = text.substr(open + 1, close - open - 1);
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str() + colon + 1, &end);
-    if (end == text.c_str() + colon + 1) {
-      break;  // not a number
-    }
-    values[key] = value;
-    pos = static_cast<size_t>(end - text.c_str());
-  }
-  return values;
-}
-
 bool UpdateBenchJson(const std::string& path, const std::map<std::string, double>& values) {
-  std::map<std::string, double> merged = ReadBenchJson(path);
+  std::map<std::string, double> merged = ReadFlatJson(path);
   for (const auto& [key, value] : values) {
     merged[key] = value;
   }
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return false;
-  }
-  std::fprintf(file, "{\n");
-  size_t index = 0;
-  for (const auto& [key, value] : merged) {
-    const char* separator = ++index < merged.size() ? "," : "";
-    // Counters must round-trip exactly (the CI gate diffs them for equality);
-    // %.6g would mangle anything above six significant digits.
-    if (value == std::floor(value) && std::abs(value) < 9.0e15) {
-      std::fprintf(file, "  \"%s\": %lld%s\n", key.c_str(), static_cast<long long>(value),
-                   separator);
-    } else {
-      std::fprintf(file, "  \"%s\": %.6g%s\n", key.c_str(), value, separator);
-    }
-  }
-  std::fprintf(file, "}\n");
-  std::fclose(file);
-  return true;
+  return WriteFlatJson(path, merged);
 }
 
 std::string ParseEmitJsonFlag(int argc, char** argv, const std::string& default_path) {

@@ -75,11 +75,9 @@ std::string FormatMinSec(double seconds);
 // interpreter microbench and the Table 1 sweep both merge their metrics into
 // the same file; tools/ci.sh gates on the committed copy.
 
-// Reads `path`; empty map when the file is missing or unparsable.
-std::map<std::string, double> ReadBenchJson(const std::string& path);
-
-// Merges `values` over the file's current contents and rewrites it (sorted
-// keys, one per line). Returns false when the file cannot be written.
+// Merges `values` over the file's current contents (ReadFlatJson: a missing
+// or malformed file counts as empty) and rewrites it with WriteFlatJson.
+// Returns false when the file cannot be written.
 bool UpdateBenchJson(const std::string& path, const std::map<std::string, double>& values);
 
 // Parses `--emit-json` / `--emit-json=PATH`. Returns the empty string when

@@ -20,6 +20,7 @@
 #include "src/obs/campaign.h"
 #include "src/pt/decoder.h"
 #include "src/pt/tracer.h"
+#include "src/support/json.h"
 #include "src/support/rng.h"
 #include "src/vm/vm.h"
 
@@ -469,7 +470,7 @@ int Main(int argc, char** argv) {
   if (!smoke_path.empty()) {
     // CI perf gate: fail when interpreter throughput regresses more than 30%
     // against the committed baseline artifact.
-    const std::map<std::string, double> baseline = ReadBenchJson(smoke_path);
+    const std::map<std::string, double> baseline = ReadFlatJson(smoke_path);
     const auto it = baseline.find("vm_interp_steps_per_sec");
     if (it == baseline.end()) {
       // Default: tolerate a missing baseline so fresh checkouts stay green.

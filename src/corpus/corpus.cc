@@ -6,6 +6,7 @@
 
 #include "src/corpus/templates.h"
 #include "src/support/check.h"
+#include "src/support/json.h"
 #include "src/support/str.h"
 
 namespace gist {
@@ -146,58 +147,53 @@ bool LoadCorpusIndex(const std::string& dir, CorpusOptions* options, std::string
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  if (text.find("\"gist.corpus.v1\"") == std::string::npos) {
+  const Result<JsonValue> index = ParseJson(buffer.str());
+  if (!index.ok()) {
+    *error = path + ": " + index.error().message();
+    return false;
+  }
+  const std::string* schema = (*index)["schema"].AsString();
+  if (schema == nullptr || *schema != "gist.corpus.v1") {
     *error = path + " is not a gist.corpus.v1 index";
     return false;
   }
-  auto find_number = [&](const std::string& key, uint64_t* value) {
-    const std::string needle = "\"" + key + "\":";
-    const size_t at = text.find(needle);
-    if (at == std::string::npos) {
-      return false;
-    }
-    *value = std::strtoull(text.c_str() + at + needle.size(), nullptr, 10);
-    return true;
-  };
-  uint64_t seed = 0;
-  uint64_t count = 0;
-  if (!find_number("seed", &seed) || !find_number("count", &count)) {
-    *error = path + " is missing seed/count";
+  const std::optional<uint64_t> seed = (*index)["seed"].AsU64();
+  const std::optional<uint64_t> count = (*index)["count"].AsU64();
+  if (!seed || !count) {
+    *error = path + " is missing seed/count (each must be an unsigned integer)";
     return false;
   }
-  options->seed = seed;
-  options->count = static_cast<uint32_t>(count);
-
-  options->families.clear();
-  const size_t fam_at = text.find("\"families\":");
-  const size_t open = text.find('[', fam_at);
-  const size_t close = text.find(']', fam_at);
-  if (fam_at == std::string::npos || open == std::string::npos || close == std::string::npos) {
+  if (*count > UINT32_MAX) {
+    *error = StrFormat("%s count %llu exceeds %u", path.c_str(),
+                       static_cast<unsigned long long>(*count), UINT32_MAX);
+    return false;
+  }
+  const JsonValue& families = (*index)["families"];
+  if (families.kind != JsonValue::kArray) {
     *error = path + " is missing the families list";
     return false;
   }
-  size_t pos = open;
-  while (true) {
-    const size_t q1 = text.find('"', pos);
-    if (q1 == std::string::npos || q1 > close) {
-      break;
-    }
-    const size_t q2 = text.find('"', q1 + 1);
-    BugFamily family;
-    const std::string name = text.substr(q1 + 1, q2 - q1 - 1);
-    if (!ParseBugFamily(name, &family)) {
-      *error = path + " lists unknown family \"" + name + "\"";
+  std::vector<BugFamily> parsed;
+  for (const JsonValue& entry : families.items) {
+    const std::string* name = entry.AsString();
+    BugFamily family = BugFamily::kDataRace;
+    if (name == nullptr) {
+      *error = path + " lists a family that is not a string";
       return false;
     }
-    options->families.push_back(family);
-    pos = q2 + 1;
+    if (!ParseBugFamily(*name, &family)) {
+      *error = path + " lists unknown family \"" + JsonEscape(*name) + "\"";
+      return false;
+    }
+    parsed.push_back(family);
   }
-  if (options->families.empty()) {
+  if (parsed.empty()) {
     *error = path + " lists no families";
     return false;
   }
+  options->seed = *seed;
+  options->count = static_cast<uint32_t>(*count);
+  options->families = std::move(parsed);
   return true;
 }
 

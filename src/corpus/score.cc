@@ -1,8 +1,6 @@
 #include "src/corpus/score.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "src/coop/fleet.h"
@@ -244,67 +242,6 @@ FaultOptions CorpusChaosFaults() {
   faults.delay_result_permille = 50;
   faults.wire_mtu_bytes = 512;  // small MTU: real multi-chunk uploads
   return faults;
-}
-
-std::map<std::string, double> ReadFlatJson(const std::string& path) {
-  std::map<std::string, double> values;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return values;
-  }
-  std::string text;
-  char chunk[4096];
-  size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    text.append(chunk, got);
-  }
-  std::fclose(file);
-
-  size_t pos = 0;
-  while (true) {
-    const size_t open = text.find('"', pos);
-    if (open == std::string::npos) {
-      break;
-    }
-    const size_t close = text.find('"', open + 1);
-    if (close == std::string::npos) {
-      break;
-    }
-    const size_t colon = text.find(':', close);
-    if (colon == std::string::npos) {
-      break;
-    }
-    const std::string key = text.substr(open + 1, close - open - 1);
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str() + colon + 1, &end);
-    if (end == text.c_str() + colon + 1) {
-      break;  // not a number
-    }
-    values[key] = value;
-    pos = static_cast<size_t>(end - text.c_str());
-  }
-  return values;
-}
-
-bool WriteFlatJson(const std::string& path, const std::map<std::string, double>& values) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return false;
-  }
-  std::fprintf(file, "{\n");
-  size_t index = 0;
-  for (const auto& [key, value] : values) {
-    const char* separator = ++index < values.size() ? "," : "";
-    if (value == std::floor(value) && std::abs(value) < 9.0e15) {
-      std::fprintf(file, "  \"%s\": %lld%s\n", key.c_str(), static_cast<long long>(value),
-                   separator);
-    } else {
-      std::fprintf(file, "  \"%s\": %.6g%s\n", key.c_str(), value, separator);
-    }
-  }
-  std::fprintf(file, "}\n");
-  std::fclose(file);
-  return true;
 }
 
 }  // namespace gist

@@ -17,6 +17,7 @@
 #include "src/core/accuracy.h"
 #include "src/corpus/corpus.h"
 #include "src/faultsim/faultsim.h"
+#include "src/support/json.h"  // ReadFlatJson/WriteFlatJson for BENCH_corpus.json
 #include "src/vm/superinstr.h"
 
 namespace gist {
@@ -103,11 +104,6 @@ BaselineCheck CheckAgainstBaseline(const CorpusScore& score,
 // every program's diagnosis verdicts must survive the attrition — only
 // recurrence counts and window detail may drift from a faultless sweep.
 FaultOptions CorpusChaosFaults();
-
-// Flat {"key": number} JSON I/O for BENCH_corpus.json (same format as the
-// BENCH_interp.json family). Read returns an empty map when missing.
-std::map<std::string, double> ReadFlatJson(const std::string& path);
-bool WriteFlatJson(const std::string& path, const std::map<std::string, double>& values);
 
 }  // namespace gist
 

@@ -1,7 +1,9 @@
 #include "src/obs/campaign.h"
 
 #include <algorithm>
+#include <span>
 
+#include "src/support/json.h"
 #include "src/support/str.h"
 
 namespace gist {
@@ -42,25 +44,33 @@ uint32_t RankChurn(const std::vector<std::string>& before, const std::vector<std
   return churn;
 }
 
-// Minimal JSON string escaping for predictor descriptions and titles.
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
+// The integer fields of one iteration row and of the status block, as
+// JournalJson writes them.
+constexpr const char* kIterationNumbers[] = {
+    "iteration", "sigma", "virtual_end", "runs_consumed", "failing", "successful", "lost",
+    "quarantined", "retries", "quorum_met", "root_cause", "recurrences", "rotations",
+    "watch_instrs", "watch_slots", "watch_coverage_permille", "survivor_permille",
+    "slice_statements", "window_statements", "sketch_statements", "sketch_edit_distance",
+    "predictor_rank_churn"};
+constexpr const char* kStatusNumbers[] = {
+    "iterations", "sigma", "virtual_now", "runs_consumed", "recurrences", "root_cause_found",
+    "slice_statements", "window_statements", "slice_exhausted"};
+
+// The first key of `object` that is not a string (`strings`) or an unsigned
+// integer (`numbers`); empty when all are.
+std::string BadField(const JsonValue& object, std::initializer_list<const char*> strings,
+                     std::span<const char* const> numbers) {
+  for (const char* key : strings) {
+    if (object[key].AsString() == nullptr) {
+      return key;
     }
   }
-  return out;
+  for (const char* key : numbers) {
+    if (!object[key].AsU64()) {
+      return key;
+    }
+  }
+  return std::string();
 }
 
 }  // namespace
@@ -175,6 +185,34 @@ std::string CampaignTracker::JournalJson() const {
       static_cast<int>(trend().size()), trend().data(),
       static_cast<int>(eta_bucket().size()), eta_bucket().data());
   return json;
+}
+
+Result<JsonValue> ParseCampaignJournal(std::string_view json) {
+  Result<JsonValue> parsed = ParseJson(json);
+  if (!parsed.ok()) {
+    return parsed;
+  }
+  const JsonValue& root = *parsed;
+  const std::string* schema = root["schema"].AsString();
+  if (schema == nullptr || *schema != "gist.campaign.v1") {
+    return Error("not a gist.campaign.v1 journal");
+  }
+  const JsonValue& iterations = root["iterations"];
+  const JsonValue& status = root["status"];
+  if (iterations.kind != JsonValue::kArray || status.kind != JsonValue::kObject) {
+    return Error("campaign journal needs an iterations array and a status block");
+  }
+  std::string bad = BadField(root, {"title"}, {});
+  for (size_t i = 0; bad.empty() && i < iterations.items.size(); ++i) {
+    bad = BadField(iterations.items[i], {"top_predictor"}, kIterationNumbers);
+  }
+  if (bad.empty()) {
+    bad = BadField(status, {"trend", "eta_bucket"}, kStatusNumbers);
+  }
+  if (!bad.empty()) {
+    return Error("campaign journal field \"" + bad + "\" is missing or malformed");
+  }
+  return parsed;
 }
 
 void CampaignTracker::Annotate(std::string_view name, double value) {

@@ -34,6 +34,9 @@
 #include <string_view>
 #include <vector>
 
+#include "src/support/json.h"
+#include "src/support/result.h"
+
 namespace gist {
 
 // Everything one AsT iteration contributes, as observed at its end.
@@ -125,6 +128,12 @@ class CampaignTracker {
   std::vector<Record> records_;
   std::map<std::string, double, std::less<>> annotations_;
 };
+
+// Reads a JournalJson() export back and checks its shape: the
+// gist.campaign.v1 schema tag, then every field JournalJson writes into the
+// document, each iteration row and the status block, with the kind it writes
+// (unsigned integer or string). Callers may read those fields unchecked.
+Result<JsonValue> ParseCampaignJournal(std::string_view json);
 
 }  // namespace gist
 

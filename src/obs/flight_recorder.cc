@@ -1,41 +1,9 @@
 #include "src/obs/flight_recorder.h"
 
+#include "src/support/json.h"
 #include "src/support/str.h"
 
 namespace gist {
-namespace {
-
-// Minimal JSON string escaping: names and string args are internal
-// identifiers, but failure messages can carry program text.
-std::string JsonQuote(std::string_view text) {
-  std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 TraceArgs::value_type NumArg(std::string_view key, uint64_t value) {
   return {std::string(key), StrFormat("%llu", static_cast<unsigned long long>(value))};
@@ -46,7 +14,7 @@ TraceArgs::value_type NumArg(std::string_view key, int64_t value) {
 }
 
 TraceArgs::value_type StrArg(std::string_view key, std::string_view value) {
-  return {std::string(key), JsonQuote(value)};
+  return {std::string(key), "\"" + JsonEscape(value) + "\""};
 }
 
 void FlightRecorder::AddSpan(std::string name, std::string category, uint64_t begin,
@@ -93,8 +61,8 @@ std::string FlightRecorder::TraceJson() const {
   std::string out = "{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
   for (size_t i = 0; i < spans_.size(); ++i) {
     const TraceSpan& span = spans_[i];
-    out += StrFormat("{\"name\": %s, \"cat\": %s, \"ph\": \"%s\", \"ts\": %llu",
-                     JsonQuote(span.name).c_str(), JsonQuote(span.category).c_str(),
+    out += StrFormat("{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": %llu",
+                     JsonEscape(span.name).c_str(), JsonEscape(span.category).c_str(),
                      span.instant ? "i" : "X", static_cast<unsigned long long>(span.begin));
     if (span.instant) {
       out += ", \"s\": \"t\"";
@@ -105,8 +73,8 @@ std::string FlightRecorder::TraceJson() const {
     if (!span.args.empty()) {
       out += ", \"args\": {";
       for (size_t a = 0; a < span.args.size(); ++a) {
-        out += StrFormat("%s%s: %s", a == 0 ? "" : ", ", JsonQuote(span.args[a].first).c_str(),
-                         span.args[a].second.c_str());
+        out += StrFormat("%s\"%s\": %s", a == 0 ? "" : ", ",
+                         JsonEscape(span.args[a].first).c_str(), span.args[a].second.c_str());
       }
       out += "}";
     }

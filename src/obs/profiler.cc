@@ -1,12 +1,12 @@
 #include "src/obs/profiler.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/hw/perf_model.h"
 #include "src/ir/module.h"
 #include "src/obs/metrics.h"
 #include "src/support/check.h"
+#include "src/support/json.h"
 #include "src/support/str.h"
 #include "src/vm/decoded_module.h"
 #include "src/vm/superinstr.h"
@@ -27,36 +27,6 @@ constexpr const char* kEventNames[7] = {
     "context_switch", "block_enter", "branch",          "mem_access",
     "return",         "instr_retired", "thread_lifecycle",
 };
-
-// JSON string escape for function names / labels / app titles. The IR only
-// produces identifier-ish names, but app titles are free text.
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string U64(uint64_t value) {
   return StrFormat("%llu", static_cast<unsigned long long>(value));
@@ -145,7 +115,7 @@ void HotPathProfiler::AddRun(const BlockProfile& blocks, const ProfiledRunSample
 std::string HotPathProfiler::ProfileJson() const {
   std::string out = "{\n";
   out += "  \"schema\": \"gist.profile.v1\",\n";
-  out += "  \"app\": \"" + EscapeJson(app_) + "\",\n";
+  out += "  \"app\": \"" + JsonEscape(app_) + "\",\n";
   out += "  \"runs\": " + U64(runs_) + ",\n";
 
   // Superinstruction-tier selection over this aggregated profile: a block is
@@ -191,8 +161,8 @@ std::string HotPathProfiler::ProfileJson() const {
     out += StrFormat("%s\n    {\"id\": %zu, \"function\": \"%s\", \"block\": \"%s\", "
                      "\"size\": %u, \"exec\": %llu, \"retired\": %llu, \"taken\": %llu, "
                      "\"not_taken\": %llu, \"fused\": %d}",
-                     first ? "" : ",", i, EscapeJson(info_[i].function).c_str(),
-                     EscapeJson(info_[i].label).c_str(), info_[i].size,
+                     first ? "" : ",", i, JsonEscape(info_[i].function).c_str(),
+                     JsonEscape(info_[i].label).c_str(), info_[i].size,
                      static_cast<unsigned long long>(total_.exec[i]),
                      static_cast<unsigned long long>(total_.retired[i]),
                      static_cast<unsigned long long>(total_.taken[i]),
@@ -275,8 +245,8 @@ std::string HotPathProfiler::ProfileJson() const {
                      static_cast<unsigned long long>(chain_retired));
     for (size_t i = 0; i < chain.size(); ++i) {
       out += StrFormat("%s\"%s:%s\"", i == 0 ? "" : ", ",
-                       EscapeJson(info_[chain[i]].function).c_str(),
-                       EscapeJson(info_[chain[i]].label).c_str());
+                       JsonEscape(info_[chain[i]].function).c_str(),
+                       JsonEscape(info_[chain[i]].label).c_str());
     }
     out += "]}";
     first = false;
@@ -367,164 +337,6 @@ void HotPathProfiler::PublishSummary(MetricsRegistry* metrics) const {
 
 namespace {
 
-// Minimal recursive-descent JSON reader, just enough to consume the
-// profiler's own exports (objects, arrays, strings, unsigned integers,
-// true/false/null). Rejecting anything else is fine: a baseline that does
-// not round-trip through this reader is not a profile we wrote.
-struct JsonValue {
-  enum Kind : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool boolean = false;
-  uint64_t number = 0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [name, value] : fields) {
-      if (name == key) {
-        return &value;
-      }
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out) {
-    const bool ok = ParseValue(out);
-    SkipSpace();
-    return ok && pos_ == text_.size();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) {
-      return false;
-    }
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char escaped = text_[pos_++];
-        switch (escaped) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return false;
-            }
-            c = static_cast<char>(
-                std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default:
-            c = escaped;  // \" \\ \/ and friends
-        }
-      }
-      out->push_back(c);
-    }
-    return pos_ < text_.size() && text_[pos_++] == '"';
-  }
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out->kind = JsonValue::kObject;
-      if (Consume('}')) {
-        return true;
-      }
-      do {
-        std::string key;
-        JsonValue value;
-        if (!ParseString(&key) || !Consume(':') || !ParseValue(&value)) {
-          return false;
-        }
-        out->fields.emplace_back(std::move(key), std::move(value));
-      } while (Consume(','));
-      return Consume('}');
-    }
-    if (c == '[') {
-      ++pos_;
-      out->kind = JsonValue::kArray;
-      if (Consume(']')) {
-        return true;
-      }
-      do {
-        JsonValue value;
-        if (!ParseValue(&value)) {
-          return false;
-        }
-        out->items.push_back(std::move(value));
-      } while (Consume(','));
-      return Consume(']');
-    }
-    if (c == '"') {
-      out->kind = JsonValue::kString;
-      return ParseString(&out->str);
-    }
-    if (c >= '0' && c <= '9') {
-      out->kind = JsonValue::kNumber;
-      uint64_t value = 0;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        value = value * 10 + static_cast<uint64_t>(text_[pos_++] - '0');
-      }
-      out->number = value;
-      return true;
-    }
-    auto literal = [&](const char* word, size_t len) {
-      if (text_.compare(pos_, len, word) == 0) {
-        pos_ += len;
-        return true;
-      }
-      return false;
-    };
-    if (literal("true", 4)) {
-      out->kind = JsonValue::kBool;
-      out->boolean = true;
-      return true;
-    }
-    if (literal("false", 5)) {
-      out->kind = JsonValue::kBool;
-      return true;
-    }
-    if (literal("null", 4)) {
-      return true;
-    }
-    return false;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
 struct BlockCount {
   uint64_t retired = 0;
   bool fused = false;  // the export's superinstruction-tier selection bit
@@ -540,44 +352,39 @@ struct ProfileTotals {
 bool LoadProfileBlocks(const std::string& json, const char* which,
                        std::map<std::string, BlockCount>* blocks, ProfileTotals* total,
                        std::string* error) {
-  JsonValue root;
-  if (!JsonReader(json).Parse(&root) || root.kind != JsonValue::kObject) {
-    *error = StrFormat("%s: not valid JSON", which);
+  const Result<JsonValue> parsed = ParseJson(json);
+  if (!parsed.ok() || parsed->kind != JsonValue::kObject) {
+    *error = StrFormat("%s: not valid JSON (%s)", which,
+                       parsed.ok() ? "not an object" : parsed.error().message().c_str());
     return false;
   }
-  const JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::kString ||
-      schema->str != "gist.profile.v1") {
+  const JsonValue& root = *parsed;
+  const std::string* schema = root["schema"].AsString();
+  if (schema == nullptr || *schema != "gist.profile.v1") {
     *error = StrFormat("%s: missing or unsupported schema tag (want gist.profile.v1)", which);
     return false;
   }
-  const JsonValue* totals = root.Find("totals");
-  const JsonValue* retired = totals != nullptr ? totals->Find("retired") : nullptr;
-  const JsonValue* array = root.Find("blocks");
-  if (retired == nullptr || retired->kind != JsonValue::kNumber || array == nullptr ||
-      array->kind != JsonValue::kArray) {
+  const JsonValue& totals = root["totals"];
+  const std::optional<uint64_t> retired = totals["retired"].AsU64();
+  const JsonValue& array = root["blocks"];
+  if (!retired || array.kind != JsonValue::kArray) {
     *error = StrFormat("%s: missing totals.retired or blocks", which);
     return false;
   }
-  total->retired = retired->number;
-  const JsonValue* fused_retired = totals->Find("fused_retired");
-  if (fused_retired != nullptr && fused_retired->kind == JsonValue::kNumber) {
-    total->fused_retired = fused_retired->number;
-  }
-  for (const JsonValue& block : array->items) {
-    const JsonValue* function = block.Find("function");
-    const JsonValue* label = block.Find("block");
-    const JsonValue* count = block.Find("retired");
-    const JsonValue* fused = block.Find("fused");
-    if (function == nullptr || label == nullptr || count == nullptr ||
-        count->kind != JsonValue::kNumber) {
+  total->retired = *retired;
+  // Absent in pre-tier exports: reads as 0.
+  total->fused_retired = totals["fused_retired"].AsU64().value_or(0);
+  for (const JsonValue& block : array.items) {
+    const std::string* function = block["function"].AsString();
+    const std::string* label = block["block"].AsString();
+    const std::optional<uint64_t> count = block["retired"].AsU64();
+    if (function == nullptr || label == nullptr || !count) {
       *error = StrFormat("%s: malformed block entry", which);
       return false;
     }
-    BlockCount& entry = (*blocks)[function->str + ";" + label->str];
-    entry.retired += count->number;
-    entry.fused = entry.fused || (fused != nullptr && fused->kind == JsonValue::kNumber &&
-                                  fused->number != 0);
+    BlockCount& entry = (*blocks)[*function + ";" + *label];
+    entry.retired += *count;
+    entry.fused = entry.fused || block["fused"].AsU64().value_or(0) != 0;
   }
   return true;
 }

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -136,6 +138,23 @@ TEST(CorpusScoreTest, FlatJsonRoundTrips) {
   EXPECT_NEAR(back.at("corpus_mean_overall"), 88.2041, 1e-4);
   EXPECT_EQ(back.at("zero"), 0.0);
   EXPECT_TRUE(ReadFlatJson(path + ".does_not_exist").empty());
+
+  // A malformed file reads as empty, exactly like a missing one, so the
+  // baseline gate reports every metric missing instead of trusting the part
+  // of a truncated baseline that happened to parse.
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    bytes = buffer.str();
+  }
+  for (const std::string& broken :
+       {bytes.substr(0, bytes.size() / 2), bytes.substr(0, bytes.find_last_of('}')),
+        std::string("{\"corpus_programs\": \"49\"}"), std::string("[49]")}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << broken;
+    EXPECT_TRUE(ReadFlatJson(path).empty()) << broken;
+  }
 }
 
 }  // namespace

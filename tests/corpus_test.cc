@@ -6,7 +6,9 @@
 //   3. every generated manifest validates against its own module, and the
 //      validator actually rejects broken manifests;
 //   4. the on-disk layout round-trips: WriteCorpusDir then LoadCorpusIndex
-//      reproduces the generation options, and the emitted `.gir` re-parses.
+//      reproduces the generation options, and the emitted `.gir` re-parses;
+//   5. LoadCorpusIndex rejects a malformed index with a structured error
+//      instead of guessing (no truncated counts, no skipped families).
 
 #include <gtest/gtest.h>
 
@@ -160,6 +162,59 @@ TEST(CorpusTest, WriteAndLoadRoundTrip) {
               program.module->ToString());
     EXPECT_EQ(ReadFile(dir / (program.manifest.name + ".manifest.json")),
               program.manifest.ToJson());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorpusTest, LoadRejectsMalformedIndex) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "gist_corpus_bad_index";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto index = [](const std::string& seed, const std::string& count,
+                  const std::string& families) {
+    return "{\"schema\": \"gist.corpus.v1\", \"seed\": " + seed + ", \"count\": " + count +
+           ", \"families\": " + families + ", \"programs\": []}";
+  };
+  auto load = [&](const std::string& text, CorpusOptions* options, std::string* error) {
+    std::ofstream(dir / "corpus.json", std::ios::binary | std::ios::trunc) << text;
+    return LoadCorpusIndex(dir.string(), options, error);
+  };
+
+  CorpusOptions options;
+  std::string error;
+  ASSERT_TRUE(load(index("7", "4294967295", "[\"deadlock\"]"), &options, &error)) << error;
+  EXPECT_EQ(options.seed, 7u);
+  EXPECT_EQ(options.count, UINT32_MAX);
+  ASSERT_EQ(options.families.size(), 1u);
+  EXPECT_EQ(options.families[0], BugFamily::kDeadlock);
+
+  struct Case {
+    std::string text;
+    std::string error;  // a substring the error must carry
+  };
+  const Case cases[] = {
+      {"{\"schema\": \"gist.corpus.v1\", \"count\": 3, \"families\": [\"deadlock\"]}",
+       "missing seed/count"},
+      {index("\"7\"", "3", "[\"deadlock\"]"), "missing seed/count"},
+      {index("-7", "3", "[\"deadlock\"]"), "missing seed/count"},
+      {index("7", "3.5", "[\"deadlock\"]"), "missing seed/count"},
+      {index("7", "99999999999999999999", "[\"deadlock\"]"), "missing seed/count"},
+      {index("7", "4294967296", "[\"deadlock\"]"), "count 4294967296 exceeds 4294967295"},
+      {index("7", "3", "\"deadlock\""), "missing the families list"},
+      {index("7", "3", "[\"deadlock\", 3]"), "not a string"},
+      {index("7", "3", "[\"deadlock\", \"heisenbug\"]"), "unknown family \"heisenbug\""},
+      {index("7", "3", "[]"), "lists no families"},
+      {"{\"schema\": \"gist.manifest.v1\", \"seed\": 7}", "not a gist.corpus.v1 index"},
+      {index("7", "3", "[\"deadlock\"]").substr(0, 40), "json:"},
+  };
+  for (const Case& c : cases) {
+    CorpusOptions untouched;
+    untouched.seed = 99;
+    error.clear();
+    EXPECT_FALSE(load(c.text, &untouched, &error)) << c.text;
+    EXPECT_NE(error.find(c.error), std::string::npos) << c.text << " -> " << error;
+    EXPECT_EQ(untouched.seed, 99u) << "a rejected index must not half-apply";
   }
   std::filesystem::remove_all(dir);
 }

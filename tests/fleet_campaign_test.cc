@@ -8,7 +8,9 @@
 //      shadow mode (the in-build CHECK) and by direct fingerprint equality;
 //   3. sketch builds read no PT: the server's trace summaries alone rebuild
 //      the final sketch from traces whose PT buffers were cleared, byte-equal
-//      to the served and the batch-decoded sketch.
+//      to the served and the batch-decoded sketch;
+//   4. the journal reads back: ParseCampaignJournal recovers every rendered
+//      field of a real journal and rejects every strict prefix of it.
 
 #include <gtest/gtest.h>
 
@@ -203,6 +205,88 @@ TEST(FleetCampaignTest, JournalCarriesConvergenceSignals) {
   const std::string journal = tracker.JournalJson();
   EXPECT_NE(journal.find("\"trend\": \"converged\""), std::string::npos);
   EXPECT_NE(journal.find("\"eta_bucket\": \"done\""), std::string::npos);
+}
+
+TEST(FleetCampaignTest, JournalReaderRoundTripsAndRejectsEveryPrefix) {
+  // The journal `gist diagnose-app sqlite --fleet-seed 3 --campaign-json` writes.
+  std::unique_ptr<BugApp> app = MakeAppByName("sqlite");
+  ASSERT_NE(app, nullptr);
+  CampaignTracker tracker(app->info().name);
+  FleetOptions options;
+  options.fleet_seed = 3;
+  options.gist.title = app->info().name;
+  options.campaign = &tracker;
+  Fleet fleet(
+      app->module(),
+      [&app](uint64_t run_index, Rng& rng) { return app->MakeWorkload(run_index, rng); },
+      options);
+  const std::vector<InstrId>& root_cause = app->root_cause_instrs();
+  fleet.Run([&](const FailureSketch& sketch) {
+    return std::all_of(root_cause.begin(), root_cause.end(),
+                       [&](InstrId id) { return sketch.Contains(id); });
+  });
+  ASSERT_GT(tracker.iterations(), 0u);
+  const std::string text = tracker.JournalJson();
+
+  const Result<JsonValue> journal = ParseCampaignJournal(text);
+  ASSERT_TRUE(journal.ok()) << journal.error().message();
+  EXPECT_EQ(*(*journal)["title"].AsString(), tracker.title());
+  const std::vector<JsonValue>& rows = (*journal)["iterations"].items;
+  ASSERT_EQ(rows.size(), tracker.iterations());
+  uint64_t runs_consumed = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const CampaignTracker::Record& record = tracker.records()[i];
+    const JsonValue& row = rows[i];
+    EXPECT_EQ(row["iteration"].AsU64(), record.sample.iteration);
+    EXPECT_EQ(row["sigma"].AsU64(), record.sample.sigma);
+    EXPECT_EQ(row["virtual_end"].AsU64(), record.sample.virtual_end);
+    EXPECT_EQ(row["runs_consumed"].AsU64(), record.runs_consumed);
+    EXPECT_EQ(row["failing"].AsU64(), record.sample.failing_runs);
+    EXPECT_EQ(row["successful"].AsU64(), record.sample.successful_runs);
+    EXPECT_EQ(row["lost"].AsU64(), record.sample.lost_runs);
+    EXPECT_EQ(row["quarantined"].AsU64(), record.sample.quarantined_runs);
+    EXPECT_EQ(row["sketch_statements"].AsU64(), record.sample.sketch_statements.size());
+    EXPECT_EQ(row["sketch_edit_distance"].AsU64(), record.sketch_edit_distance);
+    EXPECT_EQ(row["predictor_rank_churn"].AsU64(), record.predictor_rank_churn);
+    EXPECT_EQ(row["watch_coverage_permille"].AsU64(), record.watch_coverage_permille);
+    EXPECT_EQ(row["survivor_permille"].AsU64(), record.survivor_permille);
+    ASSERT_FALSE(record.sample.top_predictors.empty());
+    // Predictor text quotes source lines, so this exercises the escaper too.
+    EXPECT_EQ(*row["top_predictor"].AsString(), record.sample.top_predictors.front());
+    runs_consumed += record.runs_consumed;
+  }
+  const CampaignIterationSample& last = tracker.records().back().sample;
+  const JsonValue& status = (*journal)["status"];
+  EXPECT_EQ(status["iterations"].AsU64(), tracker.iterations());
+  EXPECT_EQ(status["sigma"].AsU64(), last.sigma);
+  EXPECT_EQ(status["virtual_now"].AsU64(), tracker.now());
+  EXPECT_EQ(status["runs_consumed"].AsU64(), runs_consumed);
+  EXPECT_EQ(status["recurrences"].AsU64(), last.recurrences);
+  EXPECT_EQ(status["root_cause_found"].AsU64(), last.root_cause_found ? 1u : 0u);
+  EXPECT_EQ(status["slice_statements"].AsU64(), last.slice_statements);
+  EXPECT_EQ(status["window_statements"].AsU64(), last.window_statements);
+  EXPECT_EQ(status["slice_exhausted"].AsU64(), last.slice_exhausted ? 1u : 0u);
+  EXPECT_EQ(*status["trend"].AsString(), tracker.trend());
+  EXPECT_EQ(*status["eta_bucket"].AsString(), tracker.eta_bucket());
+
+  // Every prefix that cuts into the document is rejected; only the trailing
+  // newline after the closing brace is optional.
+  const size_t close = text.find_last_of('}');
+  ASSERT_TRUE(ParseCampaignJournal(std::string_view(text).substr(0, close + 1)).ok());
+  for (size_t length = 0; length <= close; ++length) {
+    EXPECT_FALSE(ParseCampaignJournal(std::string_view(text).substr(0, length)).ok())
+        << "accepted a " << length << "-byte prefix";
+  }
+  // A wrong schema tag, or a field of the wrong kind, is an error too.
+  std::string other_schema = text;
+  other_schema.replace(other_schema.find("gist.campaign.v1"), 16, "gist.campaign.v2");
+  EXPECT_FALSE(ParseCampaignJournal(other_schema).ok());
+  std::string mistyped = text;
+  const size_t sigma = mistyped.find("\"sigma\": ") + 9;
+  mistyped.insert(sigma, "-");
+  const Result<JsonValue> bad = ParseCampaignJournal(mistyped);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.error().message().find("sigma"), std::string::npos) << bad.error().message();
 }
 
 TEST(FleetCampaignTest, IncrementalMatchesBatchOnAllApps) {

@@ -4,7 +4,8 @@
 //   2. the per-block retired histogram accounts every retired instruction and
 //      the edge profile every conditional branch;
 //   3. DiffProfiles accepts byte-equal exports, flags drifted blocks, and
-//      rejects malformed input;
+//      rejects malformed input — hostile nesting, overflowing counts and
+//      mistyped names included — with an error instead of a crash;
 //   4. PublishSummary mirrors the aggregate into the metrics registry.
 
 #include <gtest/gtest.h>
@@ -199,6 +200,32 @@ TEST(ProfilerTest, DiffAcceptsEqualProfilesAndFlagsDrift) {
       DiffProfiles("{\"schema\": \"something.else\"}", baseline.ProfileJson());
   EXPECT_FALSE(wrong_schema.parsed);
   EXPECT_FALSE(wrong_schema.ok);
+}
+
+TEST(ProfilerTest, DiffRejectsDeepNestingOverflowAndMistypedNames) {
+  auto profile = [](const std::string& block) {
+    return "{\"schema\": \"gist.profile.v1\", \"totals\": {\"retired\": 5}, \"blocks\": [" +
+           block + "]}";
+  };
+  const std::string good =
+      profile("{\"function\": \"main\", \"block\": \"entry\", \"retired\": 5, \"fused\": 0}");
+  ASSERT_TRUE(DiffProfiles(good, good).parsed);
+
+  const std::string bad[] = {
+      std::string(100000, '['),
+      profile("{\"function\": \"main\", \"block\": \"entry\", \"retired\": 99999999999999999999}"),
+      profile("{\"function\": \"main\", \"block\": \"entry\", \"retired\": -5}"),
+      profile("{\"function\": 7, \"block\": \"entry\", \"retired\": 5}"),
+      profile("{\"function\": \"main\", \"block\": null, \"retired\": 5}"),
+      good.substr(0, good.size() - 1),
+  };
+  for (const std::string& json : bad) {
+    for (const ProfileDiffResult& diff : {DiffProfiles(json, good), DiffProfiles(good, json)}) {
+      EXPECT_FALSE(diff.parsed) << json.substr(0, 120);
+      EXPECT_FALSE(diff.ok);
+      EXPECT_FALSE(diff.error.empty());
+    }
+  }
 }
 
 TEST(ProfilerTest, PublishSummaryMirrorsAggregateIntoRegistry) {

@@ -71,6 +71,7 @@
 #include "src/obs/profiler.h"
 #include "src/pt/dump.h"
 #include "src/pt/tracer.h"
+#include "src/support/json.h"
 #include "src/support/logging.h"
 #include "src/support/rng.h"
 #include "src/support/str.h"
@@ -648,41 +649,6 @@ int CmdProfDiff(int argc, char** argv) {
   return diff.ok ? 0 : 1;
 }
 
-// Parses a flat key→number JSON object (one scalar per key, no nesting —
-// the shape of the campaign journal's status block and iteration rows).
-// String-valued entries are skipped. Returns false when nothing numeric
-// parsed.
-bool ParseFlatNumberJson(const std::string& text, std::map<std::string, uint64_t>* out) {
-  size_t pos = 0;
-  while ((pos = text.find('"', pos)) != std::string::npos) {
-    const size_t key_end = text.find('"', pos + 1);
-    if (key_end == std::string::npos) {
-      break;
-    }
-    const std::string key = text.substr(pos + 1, key_end - pos - 1);
-    size_t value_pos = text.find(':', key_end);
-    if (value_pos == std::string::npos) {
-      break;
-    }
-    ++value_pos;
-    while (value_pos < text.size() && std::isspace(static_cast<unsigned char>(text[value_pos]))) {
-      ++value_pos;
-    }
-    if (value_pos < text.size() && text[value_pos] == '"') {
-      // String value (e.g. the schema tag): skip past it.
-      pos = text.find('"', value_pos + 1);
-      if (pos == std::string::npos) {
-        break;
-      }
-      ++pos;
-      continue;
-    }
-    (*out)[key] = std::strtoull(text.c_str() + value_pos, nullptr, 10);
-    pos = value_pos;
-  }
-  return !out->empty();
-}
-
 // --- `gist corpus` ----------------------------------------------------------
 
 struct CorpusCliArgs {
@@ -1006,32 +972,6 @@ int CmdCorpus(int argc, char** argv) {
   return Usage();
 }
 
-// Extracts `"key": "value"` from text[from, limit); false when absent.
-// Honors the journal's own escaping (predictor text quotes source lines), so
-// \" and \\ are unescaped and do not terminate the value.
-bool FindStringField(const std::string& text, const std::string& key, size_t from, size_t limit,
-                     std::string* out) {
-  const std::string needle = "\"" + key + "\": \"";
-  const size_t pos = text.find(needle, from);
-  if (pos == std::string::npos || pos >= limit) {
-    return false;
-  }
-  std::string value;
-  for (size_t i = pos + needle.size(); i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == '\\' && i + 1 < text.size()) {
-      const char next = text[++i];
-      value += next == 'n' ? '\n' : next == 't' ? '\t' : next;
-    } else if (c == '"') {
-      *out = std::move(value);
-      return true;
-    } else {
-      value += c;
-    }
-  }
-  return false;
-}
-
 // `gist status <campaign.json>` — render a gist.campaign.v1 journal as the
 // live diagnosis dashboard: one convergence row per AsT iteration plus the
 // trend / ETA summary the status block carries.
@@ -1055,87 +995,41 @@ int CmdStatus(int argc, char** argv) {
     std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
     return 1;
   }
-  if (text.find("\"schema\": \"gist.campaign.v1\"") == std::string::npos) {
-    std::fprintf(stderr, "error: %s is not a gist.campaign.v1 journal\n", path.c_str());
+  const Result<JsonValue> journal = ParseCampaignJournal(text);
+  if (!journal.ok()) {
+    std::fprintf(stderr, "error: %s: %s\n", path.c_str(), journal.error().message().c_str());
     return 1;
   }
-  std::string title = "failure";
-  FindStringField(text, "title", 0, text.size(), &title);
-  std::printf("campaign: %s\n", title.c_str());
-
-  const size_t status_pos = text.find("\"status\": {");
-  const size_t array_pos = text.find("\"iterations\": [");
-  const size_t array_end = status_pos == std::string::npos ? text.size() : status_pos;
+  // ParseCampaignJournal checked the kind of every field read below.
+  auto number = [](const JsonValue& object, const char* key) {
+    return static_cast<unsigned long long>(*object[key].AsU64());
+  };
+  auto string = [](const JsonValue& object, const char* key) {
+    return object[key].AsString()->c_str();
+  };
+  std::printf("campaign: %s\n", string(*journal, "title"));
   std::printf("%5s %6s %6s %5s %5s %5s %5s %5s %6s %6s %6s  %s\n", "iter", "sigma", "runs",
               "fail", "succ", "lost", "quar", "dist", "churn", "cover", "surv",
               "top predictor");
-  size_t pos = array_pos == std::string::npos ? array_end : array_pos;
-  while (pos < array_end) {
-    const size_t open = text.find('{', pos);
-    if (open == std::string::npos || open >= array_end) {
-      break;
-    }
-    const size_t close = text.find('}', open);
-    if (close == std::string::npos) {
-      break;
-    }
-    const std::string object = text.substr(open, close - open + 1);
-    std::map<std::string, uint64_t> row;
-    ParseFlatNumberJson(object, &row);
-    std::string top_predictor;
-    FindStringField(object, "top_predictor", 0, object.size(), &top_predictor);
-    auto value = [&](const char* key) {
-      const auto it = row.find(key);
-      return it == row.end() ? uint64_t{0} : it->second;
-    };
+  for (const JsonValue& row : (*journal)["iterations"].items) {
     std::printf("%5llu %6llu %6llu %5llu %5llu %5llu %5llu %5llu %6llu %5llu‰ %5llu‰  %s\n",
-                static_cast<unsigned long long>(value("iteration")),
-                static_cast<unsigned long long>(value("sigma")),
-                static_cast<unsigned long long>(value("runs_consumed")),
-                static_cast<unsigned long long>(value("failing")),
-                static_cast<unsigned long long>(value("successful")),
-                static_cast<unsigned long long>(value("lost")),
-                static_cast<unsigned long long>(value("quarantined")),
-                static_cast<unsigned long long>(value("sketch_edit_distance")),
-                static_cast<unsigned long long>(value("predictor_rank_churn")),
-                static_cast<unsigned long long>(value("watch_coverage_permille")),
-                static_cast<unsigned long long>(value("survivor_permille")),
-                top_predictor.c_str());
-    pos = close + 1;
+                number(row, "iteration"), number(row, "sigma"), number(row, "runs_consumed"),
+                number(row, "failing"), number(row, "successful"), number(row, "lost"),
+                number(row, "quarantined"), number(row, "sketch_edit_distance"),
+                number(row, "predictor_rank_churn"), number(row, "watch_coverage_permille"),
+                number(row, "survivor_permille"), string(row, "top_predictor"));
   }
-
-  if (status_pos == std::string::npos) {
-    std::fprintf(stderr, "error: %s has no status block\n", path.c_str());
-    return 1;
-  }
-  const size_t status_close = text.find('}', status_pos);
-  const std::string status =
-      text.substr(status_pos, status_close == std::string::npos
-                                  ? std::string::npos
-                                  : status_close - status_pos + 1);
-  std::map<std::string, uint64_t> fields;
-  ParseFlatNumberJson(status, &fields);
-  std::string trend = "unknown";
-  std::string eta = "unknown";
-  FindStringField(status, "trend", 0, status.size(), &trend);
-  FindStringField(status, "eta_bucket", 0, status.size(), &eta);
-  auto value = [&](const char* key) {
-    const auto it = fields.find(key);
-    return it == fields.end() ? uint64_t{0} : it->second;
-  };
-  std::printf("\nstatus: %s (eta: %s)\n", trend.c_str(), eta.c_str());
+  const JsonValue& status = (*journal)["status"];
+  std::printf("\nstatus: %s (eta: %s)\n", string(status, "trend"), string(status, "eta_bucket"));
   std::printf("  %llu iterations, sigma %llu, %llu runs consumed, %llu recurrences, "
               "root cause %s\n",
-              static_cast<unsigned long long>(value("iterations")),
-              static_cast<unsigned long long>(value("sigma")),
-              static_cast<unsigned long long>(value("runs_consumed")),
-              static_cast<unsigned long long>(value("recurrences")),
-              value("root_cause_found") != 0 ? "FOUND" : "not isolated");
+              number(status, "iterations"), number(status, "sigma"),
+              number(status, "runs_consumed"), number(status, "recurrences"),
+              number(status, "root_cause_found") != 0 ? "FOUND" : "not isolated");
   std::printf("  window %llu of %llu slice statements (slice %s), virtual clock %llu\n",
-              static_cast<unsigned long long>(value("window_statements")),
-              static_cast<unsigned long long>(value("slice_statements")),
-              value("slice_exhausted") != 0 ? "exhausted" : "growing",
-              static_cast<unsigned long long>(value("virtual_now")));
+              number(status, "window_statements"), number(status, "slice_statements"),
+              number(status, "slice_exhausted") != 0 ? "exhausted" : "growing",
+              number(status, "virtual_now"));
   return 0;
 }
 
