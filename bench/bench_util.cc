@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
@@ -20,15 +21,27 @@ FleetOptions DefaultBenchFleetOptions() {
   return options;
 }
 
+uint64_t ParseUintFlagOrExit(const char* flag, std::string_view text, uint64_t max) {
+  uint64_t value = 0;
+  if (!ParseUint(text, &value, max)) {
+    std::fprintf(stderr, "error: %s wants an integer in [0, %llu], got '%.*s'\n", flag,
+                 static_cast<unsigned long long>(max), static_cast<int>(text.size()),
+                 text.data());
+    std::exit(2);
+  }
+  return value;
+}
+
 uint32_t ParseJobsFlag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      return static_cast<uint32_t>(std::strtoul(argv[i + 1], nullptr, 10));
+      return static_cast<uint32_t>(ParseUintFlagOrExit("--jobs", argv[i + 1], UINT32_MAX));
     }
     constexpr std::string_view kPrefix = "--jobs=";
     if (arg.substr(0, kPrefix.size()) == kPrefix) {
-      return static_cast<uint32_t>(std::strtoul(arg.data() + kPrefix.size(), nullptr, 10));
+      return static_cast<uint32_t>(
+          ParseUintFlagOrExit("--jobs", arg.substr(kPrefix.size()), UINT32_MAX));
     }
   }
   return 1;

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/apps/app.h"
@@ -36,10 +37,15 @@ struct AppFleetOutcome {
 // are comparable between tables).
 FleetOptions DefaultBenchFleetOptions();
 
+// Parses the value of numeric flag `flag` with the CLI's strict rule
+// (ParseUint in src/support/str.h: digits only, at most `max`). Anything
+// else prints a usage error and exits with status 2.
+uint64_t ParseUintFlagOrExit(const char* flag, std::string_view text, uint64_t max);
+
 // Parses `--jobs N` / `--jobs=N` from the bench command line (0 = all
 // hardware threads). Returns 1 — fully sequential, the historical behavior —
-// when the flag is absent. Results are identical for every value; only
-// wall-clock changes.
+// when the flag is absent; exits with status 2 on a malformed value. Results
+// are identical for every value; only wall-clock changes.
 uint32_t ParseJobsFlag(int argc, char** argv);
 
 // Runs `name`'s bug through the full loop and measures everything. The

@@ -48,9 +48,9 @@ int Main(int argc, char** argv) {
     }
     const std::string arg = argv[i];
     if (arg == "--count" && i + 1 < argc) {
-      gen.count = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      gen.count = static_cast<uint32_t>(ParseUintFlagOrExit("--count", argv[++i], UINT32_MAX));
     } else if (arg == "--seed" && i + 1 < argc) {
-      gen.seed = std::strtoull(argv[++i], nullptr, 10);
+      gen.seed = ParseUintFlagOrExit("--seed", argv[++i], UINT64_MAX);
     } else if (arg == "--chaos") {
       chaos = true;
     }

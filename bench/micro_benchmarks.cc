@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string_view>
 
@@ -151,37 +150,6 @@ void BM_VmInterpretationProfiled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
 BENCHMARK(BM_VmInterpretationProfiled);
-
-void BM_VmInterpretationSuper(benchmark::State& state) {
-  // The superinstruction tier (DESIGN.md §12): one profiled run selects the
-  // hot chains, then every run executes fused straight-line bodies. Compare
-  // against BM_VmInterpretationSharedDecode for the fusion win.
-  auto app = MakeAppByName("pbzip2");
-  auto decoded = std::make_shared<const DecodedModule>(app->module());
-  Rng rng(5);
-  Workload workload = app->MakeWorkload(0, rng);
-  workload.inputs[kWorkScaleInput] = 2000;
-  BlockProfile profile;
-  {
-    VmOptions options;
-    options.decoded = decoded.get();
-    options.profile = &profile;
-    Vm(app->module(), workload, options).Run();
-  }
-  const std::shared_ptr<const FusedModule> fused = FusedModule::Build(decoded, profile);
-  uint64_t steps = 0;
-  for (auto _ : state) {
-    VmOptions options;
-    options.decoded = decoded.get();
-    options.fused = fused.get();
-    Vm vm(app->module(), workload, options);
-    RunResult result = vm.Run();
-    steps += result.stats.steps;
-    benchmark::DoNotOptimize(result.stats.steps);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(steps));
-}
-BENCHMARK(BM_VmInterpretationSuper);
 
 void BM_VmWithClientRuntimeAttached(benchmark::State& state) {
   auto app = MakeAppByName("pbzip2");
@@ -336,42 +304,6 @@ double MeasureProfilerOverheadRatio() {
   return on > 0.0 ? std::max(1.0, off / on) : 1.0;
 }
 
-// Super-tier throughput (the BM_VmInterpretationSuper configuration): one
-// deterministic profiled run selects the chains, then repeated fused runs
-// until `min_seconds` of work. Also reports the selection's fused-block
-// fraction — deterministic (a pure function of module + profile), unlike the
-// throughput.
-double MeasureSuperStepsPerSecond(double* fused_block_fraction, double min_seconds = 1.0) {
-  auto app = MakeAppByName("pbzip2");
-  auto decoded = std::make_shared<const DecodedModule>(app->module());
-  Rng rng(5);
-  Workload workload = app->MakeWorkload(0, rng);
-  workload.inputs[kWorkScaleInput] = 2000;
-  BlockProfile profile;
-  {
-    VmOptions options;
-    options.decoded = decoded.get();
-    options.profile = &profile;
-    Vm(app->module(), workload, options).Run();  // selection input + warm-up
-  }
-  const std::shared_ptr<const FusedModule> fused = FusedModule::Build(decoded, profile);
-  if (fused_block_fraction != nullptr) {
-    *fused_block_fraction = fused->stats().fused_block_fraction();
-  }
-  uint64_t steps = 0;
-  const auto start = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    VmOptions options;
-    options.decoded = decoded.get();
-    options.fused = fused.get();
-    Vm vm(app->module(), workload, options);
-    steps += vm.Run().stats.steps;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  } while (elapsed < min_seconds);
-  return static_cast<double>(steps) / elapsed;
-}
-
 // Invariant fleet counters for the CI perf gate: a small recorder-attached
 // fleet whose merged metrics are a pure function of (module, options, seed).
 // Unlike steps/second these must match the committed baseline EXACTLY — any
@@ -432,16 +364,12 @@ int Main(int argc, char** argv) {
 
   if (!emit_path.empty()) {
     const double steps_per_sec = MeasureVmStepsPerSecond();
-    double fused_fraction = 0.0;
-    const double super_steps_per_sec = MeasureSuperStepsPerSecond(&fused_fraction);
     const double profiler_overhead = MeasureProfilerOverheadRatio();
     const double stats_update_ns = MeasureStatsIncrementalUpdateNs();
     const InvariantCounters counters = MeasureInvariantCounters();
     if (!UpdateBenchJson(
             emit_path,
             {{"vm_interp_steps_per_sec", steps_per_sec},
-             {"vm_super_steps_per_sec", super_steps_per_sec},
-             {"vm_super_fused_block_fraction", fused_fraction},
              {"vm_profiler_overhead_ratio", profiler_overhead},
              {"stats_incremental_update_ns", stats_update_ns},
              {"obs_instructions_retired", static_cast<double>(counters.instructions_retired)},
@@ -452,9 +380,6 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::printf("vm_interp_steps_per_sec: %.3g -> %s\n", steps_per_sec, emit_path.c_str());
-    std::printf("vm_super_steps_per_sec: %.3g (%.2fx fast, fused fraction %.3f) -> %s\n",
-                super_steps_per_sec, steps_per_sec > 0.0 ? super_steps_per_sec / steps_per_sec : 0.0,
-                fused_fraction, emit_path.c_str());
     std::printf("vm_profiler_overhead_ratio: %.3f -> %s\n", profiler_overhead, emit_path.c_str());
     std::printf("stats_incremental_update_ns: %.1f -> %s\n", stats_update_ns, emit_path.c_str());
     std::printf("obs counters: retired=%llu pt_packets=%llu watch_traps=%llu "
@@ -495,47 +420,6 @@ int Main(int argc, char** argv) {
     if (measured < floor) {
       std::fprintf(stderr, "perf smoke FAILED: interpreter regressed more than 30%%\n");
       return 1;
-    }
-
-    // Super-tier gate (DESIGN.md §12): fused execution must stay at least
-    // 1.5x the COMMITTED fast-path baseline — the tier's reason to exist is
-    // throughput, so a fusion path that quietly degenerated into per-op
-    // dispatch fails here even while the fast-path floor above still passes.
-    // The fused-block fraction is a pure function of (module, profile), so
-    // it must reproduce the baseline exactly up to JSON formatting; drift
-    // means the selection policy changed, which is a semantic change.
-    const auto super_it = baseline.find("vm_super_steps_per_sec");
-    const auto fraction_it = baseline.find("vm_super_fused_block_fraction");
-    if (super_it == baseline.end() || fraction_it == baseline.end()) {
-      if (smoke_strict) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: no vm_super_steps_per_sec / "
-                     "vm_super_fused_block_fraction baseline in %s (--perf-smoke-strict)\n",
-                     smoke_path.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "perf smoke: no super-tier baseline in %s; skipping gate\n",
-                   smoke_path.c_str());
-    } else {
-      double fused_fraction = 0.0;
-      const double super_measured = MeasureSuperStepsPerSecond(&fused_fraction);
-      const double super_floor = it->second * 1.5;
-      std::printf("perf smoke: super tier %.3g steps/s vs %.3g fast baseline (floor %.3g, "
-                  "fused fraction %.3f)\n",
-                  super_measured, it->second, super_floor, fused_fraction);
-      if (super_measured < super_floor) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: super tier %.3g below 1.5x fast baseline (%.3g)\n",
-                     super_measured, super_floor);
-        return 1;
-      }
-      if (std::abs(fused_fraction - fraction_it->second) > 1e-4) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: fused block fraction %.6f != baseline %.6f "
-                     "(selection drifted)\n",
-                     fused_fraction, fraction_it->second);
-        return 1;
-      }
     }
 
     // Profiler-overhead gate: the hot-path profiler's design target is <= 10%

@@ -114,17 +114,8 @@ struct FleetOptions {
   // is bit-identical for every `jobs` and execution tier, chaos faults on or
   // off, like the recorder's exports. Null records nothing and costs nothing.
   CampaignTracker* campaign = nullptr;
-  // Per-run execution-tier override (DESIGN.md §12): when set, monitored run
-  // `run_index` executes under tier_for_run(run_index) instead of
-  // `gist.tier`. The callback must be a pure function of the run index so
-  // the fleet stays bit-identical at every `jobs`. Setting it (or
-  // `gist.tier == kSuper`) makes phase 1 collect probe profile shards and
-  // the server compile the superinstruction tier from the consumed prefix.
-  // Tier choice never changes a run result or a pipeline-visible export byte
-  // (only the dispatcher's own "engine." batching counters may differ) — this
-  // exists so tests can mix tiers across workers of one fleet and assert
-  // exactly that.
-  std::function<ExecTier(uint64_t run_index)> tier_for_run;
+  // Always null; only sketchbench/mirror.cc reads it. Goes away with the next benchmark change.
+  static constexpr std::nullptr_t tier_for_run = nullptr;
 };
 
 struct FleetIterationStats {
@@ -179,12 +170,8 @@ class Fleet {
   // Phase 1: uninstrumented production until the target failure first
   // manifests. Probes run in parallel; the earliest failing run index wins
   // deterministically. Returns the next unconsumed run index via
-  // `next_run_index`. Non-null `selection_profile` additionally merges the
-  // consumed probes' BlockProfile shards in run-index order — the
-  // superinstruction tier's selection input, a pure function of the consumed
-  // prefix and therefore of the fleet seed alone (DESIGN.md §12).
-  void FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* next_run_index,
-                        BlockProfile* selection_profile);
+  // `next_run_index`.
+  void FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* next_run_index);
 
   // The workload of production run `run_index` (its private rng stream).
   Workload WorkloadFor(uint64_t run_index) const;

@@ -140,11 +140,7 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
 
 PlanSnapshot GistServer::Snapshot() const {
   GIST_CHECK(has_target_);
-  return PlanSnapshot(plan_, options_.watchpoint_slots, plan_version_, sigma(), decoded_, fused_);
-}
-
-void GistServer::BuildFusedTier(const BlockProfile& profile) {
-  fused_ = FusedModule::Build(decoded_, profile, options_.super);
+  return PlanSnapshot(plan_, options_.watchpoint_slots, plan_version_, sigma(), decoded_);
 }
 
 Result<FailureSketch> GistServer::BuildSketch() const {
@@ -340,11 +336,8 @@ MonitoredRun RunMonitored(const Module& module, const PlanSnapshot& snapshot,
   vm_options.observers = {&runtime};
   vm_options.hook = &runtime;
   vm_options.decoded = snapshot.decoded().get();  // shared fleet-wide cache
-  if (options.tier == ExecTier::kSuper) {
-    // Null when the server never built the tier: the run then executes the
-    // fast path — same bytes either way, just without fusion (DESIGN.md §12).
-    vm_options.fused = snapshot.fused().get();
-  } else if (options.tier == ExecTier::kReference) {
+  GIST_CHECK(options.tier != ExecTier::kSuper) << "ExecTier::kSuper is retired";
+  if (options.tier == ExecTier::kReference) {
     vm_options.reference_dispatch = true;  // the always-dispatch oracle
   }
   if (options.collect_profile) {

@@ -29,7 +29,7 @@
 #include "src/core/sketch.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/vm/superinstr.h"
+#include "src/vm/vm.h"
 
 namespace gist {
 
@@ -49,14 +49,9 @@ struct GistOptions {
   bool collect_profile = false;
   // Always null; only sketchbench/mirror.cc reads it. Goes away with the next benchmark change.
   static constexpr std::nullptr_t store = nullptr;
-  // Execution tier for monitored runs (DESIGN.md §12). kSuper additionally
-  // requires the server to have built a FusedModule (BuildFusedTier) and the
-  // snapshot to carry it; until then super-tier runs execute exactly like
-  // kFast. Tier choice never changes any run result or export byte.
+  // Execution tier for monitored runs (fast or reference dispatch). Tier
+  // choice never changes any run result or export byte.
   ExecTier tier = ExecTier::kFast;
-  // Superinstruction selection policy; `super.min_block_retired = 0` fuses
-  // every fusable block (the deopt-stress configuration tests use).
-  SuperInstrOptions super;
   // Shadow mode for the streaming statistics (DESIGN.md §14): every sketch
   // build additionally runs the batch recompute over the stored traces and
   // CHECK-fails unless it fingerprints byte-identically to the incremental
@@ -119,14 +114,6 @@ class GistServer {
   // construction; immutable and safe to share across concurrent runs).
   const std::shared_ptr<const DecodedModule>& decoded() const { return decoded_; }
 
-  // Compiles the superinstruction tier from an aggregated block profile
-  // (DESIGN.md §12). Idempotent per profile: subsequent Snapshot() calls
-  // carry the result, and super-tier runs of those snapshots execute fused
-  // bodies. Coordinator-thread only, like every other server mutation.
-  void BuildFusedTier(const BlockProfile& profile);
-
-  // The compiled superinstruction tier, or null before BuildFusedTier.
-  const std::shared_ptr<const FusedModule>& fused() const { return fused_; }
   uint32_t sigma() const {
     GIST_CHECK(has_target_);
     return ast_->sigma();
@@ -224,7 +211,6 @@ class GistServer {
   GistOptions options_;
   std::shared_ptr<const Ticfg> ticfg_;
   std::shared_ptr<const DecodedModule> decoded_;
-  std::shared_ptr<const FusedModule> fused_;
   bool has_target_ = false;
   uint64_t target_hash_ = 0;
   StaticSlice slice_;
@@ -247,7 +233,7 @@ class GistServer {
 // unchanged; these numbers travel the coordinator-local side channel only.
 struct RunObsSample {
   uint64_t traced_branches = 0;   // branch outcomes the PT encoder compressed
-  uint64_t watch_denied_arms = 0; // arm requests refused (all slots busy)
+  uint64_t watch_denied_arms = 0; // arm requests denied (all slots busy)
   uint32_t watch_peak_active = 0; // most debug registers simultaneously armed
   uint64_t unarmed_accesses = 0;  // tracked accesses left to fleet rotation
   // Profiler attribution (DESIGN.md §10): the declared SubscribedEvents()

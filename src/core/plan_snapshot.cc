@@ -43,14 +43,12 @@ PlanSnapshot::RotationList BuildRotations(const InstrumentationPlan& plan, uint3
 }  // namespace
 
 PlanSnapshot::PlanSnapshot(InstrumentationPlan plan, uint32_t watchpoint_slots, uint64_t version,
-                           uint32_t sigma, std::shared_ptr<const DecodedModule> decoded,
-                           std::shared_ptr<const FusedModule> fused)
+                           uint32_t sigma, std::shared_ptr<const DecodedModule> decoded)
     : plan_(std::move(plan)),
       slots_(watchpoint_slots),
       version_(version),
       sigma_(sigma),
-      decoded_(std::move(decoded)),
-      fused_(std::move(fused)) {
+      decoded_(std::move(decoded)) {
   if (plan_.watch_instrs.size() > slots_) {
     rotations_ = std::make_shared<const RotationList>(BuildRotations(plan_, slots_));
   }

@@ -18,7 +18,7 @@
 #include "src/corpus/corpus.h"
 #include "src/faultsim/faultsim.h"
 #include "src/support/json.h"  // ReadFlatJson/WriteFlatJson for BENCH_corpus.json
-#include "src/vm/superinstr.h"
+#include "src/vm/vm.h"
 
 namespace gist {
 

@@ -62,7 +62,7 @@ class WatchpointUnit : public ExecutionObserver {
   // Number of Arm/Disarm operations (each is a ptrace-style syscall in the
   // perf model).
   uint64_t arm_operations() const { return arm_operations_; }
-  // Arm requests refused because every debug register was busy — the
+  // Arm requests denied because every debug register was busy — the
   // contention/exhaustion signal the cooperative rotation (§3.2.3) and the
   // fault-injection chaos suite (DESIGN.md §8) both observe.
   uint64_t denied_arms() const { return denied_arms_; }

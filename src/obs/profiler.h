@@ -22,9 +22,10 @@
 // diff (`gist profdiff`) that tools/ci.sh runs as a strict gate against the
 // committed BENCH_profile.json baseline.
 //
-// This header is include-light on purpose: BlockProfile is a header-only POD
-// the VM bumps directly (src/vm must not link the obs library), and the
-// profiler proper only forward-declares the decoded module.
+// This header is include-light on purpose: BlockProfile lives with its only
+// writer in src/vm/block_profile.h (header-only, so the VM never links the
+// obs library), and the profiler proper only forward-declares the decoded
+// module.
 
 #ifndef GIST_SRC_OBS_PROFILER_H_
 #define GIST_SRC_OBS_PROFILER_H_
@@ -36,50 +37,12 @@
 #include <vector>
 
 #include "src/ir/ids.h"
+#include "src/vm/block_profile.h"
 
 namespace gist {
 
 class DecodedModule;
 class MetricsRegistry;
-
-// Per-run profile shard, indexed by DecodedBlock::profile_index (dense over
-// the whole module, function-major). All four arrays share that indexing.
-// Header-only so the interpreter can bump counters without linking gist_obs.
-struct BlockProfile {
-  std::vector<uint64_t> exec;       // block entries (entry/branch/jump/call)
-  std::vector<uint64_t> retired;    // instructions retired inside the block
-  std::vector<uint64_t> taken;      // conditional terminator: taken count
-  std::vector<uint64_t> not_taken;  // conditional terminator: fall-through
-
-  void EnsureSize(size_t num_blocks) {
-    if (exec.size() < num_blocks) {
-      exec.resize(num_blocks, 0);
-      retired.resize(num_blocks, 0);
-      taken.resize(num_blocks, 0);
-      not_taken.resize(num_blocks, 0);
-    }
-  }
-
-  void Merge(const BlockProfile& other) {
-    EnsureSize(other.exec.size());
-    for (size_t i = 0; i < other.exec.size(); ++i) {
-      exec[i] += other.exec[i];
-      retired[i] += other.retired[i];
-      taken[i] += other.taken[i];
-      not_taken[i] += other.not_taken[i];
-    }
-  }
-
-  uint64_t total_retired() const {
-    uint64_t total = 0;
-    for (uint64_t value : retired) {
-      total += value;
-    }
-    return total;
-  }
-
-  bool empty() const { return exec.empty(); }
-};
 
 // Everything a consumed run contributes beyond its BlockProfile: the
 // mode-independent event tallies (for the per-mask dispatch breakdown) and
@@ -132,10 +95,9 @@ class HotPathProfiler {
   uint64_t runs() const { return runs_; }
   const BlockProfile& totals() const { return total_; }
 
-  // Stable sorted JSON ("gist.profile.v1"): totals, per-block histograms
-  // (each block carrying the superinstruction tier's would-select "fused"
-  // bit), CFG edge profile, ranked hot chains, watchpoint attribution,
-  // dispatch breakdown. Integers only; byte-identical across platforms.
+  // Stable sorted JSON ("gist.profile.v1"): totals, per-block histograms,
+  // CFG edge profile, ranked hot chains, watchpoint attribution, dispatch
+  // breakdown. Integers only; byte-identical across platforms.
   std::string ProfileJson() const;
   // Collapsed-stack flamegraph format: one "app;function;block count" line
   // per executed block, in block-index order.
@@ -150,9 +112,6 @@ class HotPathProfiler {
     std::string function;
     std::string label;
     uint32_t size = 0;
-    // Shape permits superinstruction fusion (IsFusableBlock, shared with the
-    // tier's selection pass so export and selection can never disagree).
-    bool fusable = false;
     // Successor profile indices (kNoSuccessor when absent): a conditional
     // terminator has taken/not_taken, an unconditional jump has jump.
     uint32_t taken = kNoSuccessor;

@@ -36,6 +36,36 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
+bool ParseUint(std::string_view text, uint64_t* out, uint64_t max) {
+  if (text.empty()) {
+    return false;
+  }
+  uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) {
+      return false;  // value * 10 + digit would pass `max`
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseInt(std::string_view text, int64_t* out) {
+  const bool negative = !text.empty() && text[0] == '-';
+  uint64_t magnitude = 0;
+  const uint64_t max = negative ? uint64_t{1} << 63 : uint64_t{INT64_MAX};
+  if (!ParseUint(negative ? text.substr(1) : text, &magnitude, max)) {
+    return false;
+  }
+  *out = static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
+  return true;
+}
+
 std::string StrFormat(const char* format, ...) {
   va_list args;
   va_start(args, format);

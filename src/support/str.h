@@ -18,6 +18,14 @@ std::string_view StripWhitespace(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+// Strict decimal parsing for command-line numbers: `text` must be a
+// non-empty run of ASCII digits whose value is at most `max`. A sign,
+// whitespace, trailing bytes or overflow all fail, leaving `*out` unchanged.
+bool ParseUint(std::string_view text, uint64_t* out, uint64_t max = UINT64_MAX);
+// Signed twin: an optional leading '-', then ParseUint's digit rules, with
+// the value inside int64_t.
+bool ParseInt(std::string_view text, int64_t* out);
+
 // Formats like printf into a std::string.
 std::string StrFormat(const char* format, ...) __attribute__((format(printf, 1, 2)));
 

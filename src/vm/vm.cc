@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <type_traits>
 
 #include "src/support/str.h"
 
@@ -19,6 +18,18 @@ uint32_t FlushBucket(size_t size) {
 
 }  // namespace
 
+bool ParseExecTier(std::string_view text, ExecTier* tier) {
+  if (text == "fast") {
+    *tier = ExecTier::kFast;
+    return true;
+  }
+  if (text == "ref" || text == "reference") {
+    *tier = ExecTier::kReference;
+    return true;
+  }
+  return false;
+}
+
 Vm::Vm(const Module& module, Workload workload, VmOptions options)
     : module_(module),
       workload_(std::move(workload)),
@@ -33,12 +44,6 @@ Vm::Vm(const Module& module, Workload workload, VmOptions options)
   } else {
     owned_decoded_ = std::make_unique<DecodedModule>(module_);
     decoded_ = owned_decoded_.get();
-  }
-  if (options_.fused != nullptr) {
-    // Fused bodies hold DecodedBlock pointers; they are only meaningful
-    // against the exact DecodedModule instance this VM interprets from.
-    GIST_CHECK(&options_.fused->decoded() == decoded_)
-        << "VmOptions::fused was compiled from a different DecodedModule";
   }
   if (options_.profile != nullptr) {
     // Size the shard once so StepBurst can index it unchecked.
@@ -93,31 +98,6 @@ void Vm::BuildDispatch() {
     }
   }
 
-  // Superinstruction tier (DESIGN.md §12). Whole-run deopt: immediate
-  // retired/mem subscribers need one virtual call per event in op order, and
-  // reference dispatch hooks every instruction — both incompatible with
-  // region-batched execution, so such runs stay on the fast path entirely.
-  if (options_.fused != nullptr && on_retired_immediate_.empty() && on_mem_immediate_.empty() &&
-      !hook_everywhere_) {
-    fused_entry_ = options_.fused->entries();
-    if (options_.hook != nullptr) {
-      // Per-block deopt: a block containing any hook site interprets per-op
-      // so BeforeInstr/AfterInstr (and their ordering flushes) fire exactly
-      // where the fast path fires them.
-      for (const FusedBlock*& entry : fused_entry_) {
-        if (entry == nullptr) {
-          continue;
-        }
-        bool hooked = hook_sites_[entry->term_src->id] != 0;
-        for (const FusedOp& op : entry->ops) {
-          hooked = hooked || hook_sites_[op.src->id] != 0;
-        }
-        if (hooked) {
-          entry = nullptr;
-        }
-      }
-    }
-  }
 }
 
 void Vm::FlushBatches() {
@@ -235,7 +215,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
   uint32_t index = frame->index;
   Word* regs = frame->regs.data();
 
-  // Profiling (src/obs/profiler.h): the retired counter of the *current*
+  // Profiling (src/vm/block_profile.h): the retired counter of the *current*
   // block stays in a hoisted pointer, so the per-instruction cost with
   // profiling on is one increment; it is re-aimed only at control transfers.
   // Null when no profile shard is attached.
@@ -285,50 +265,9 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
   // no-op (all subscriber lists are empty and the batch buffers can never
   // fill), so the hot branch/jump/call/return paths skip them wholesale.
   const bool quiet = options_.observers.empty();
-  // Superinstruction tier (DESIGN.md §12): non-empty only when BuildDispatch
-  // decided this run's observer/hook configuration permits fused execution.
-  const bool fused_active = !fused_entry_.empty();
 
   uint64_t executed = 0;
   while (executed < max_count) {
-    // Fused entry: at a block boundary, or mid-block on the burst's first
-    // iteration (the previous quantum usually ends inside a block). The chain
-    // runs exactly the ops the quantum covers — at in-chain exhaustion it
-    // renews the quantum itself (RenewQuantum), extending this burst — so
-    // scheduling still lands on the same instruction boundaries as the fast
-    // path.
-    if (fused_active && (index == 0 || executed == 0)) {
-      const FusedBlock* fb = fused_entry_[block->profile_index];
-      if (fb != nullptr) {
-        const DecodedBlock* resume = nullptr;
-        uint32_t resume_index = 0;
-        const uint64_t steps_base = result_.stats.steps + executed;
-        const uint64_t extended_before = chain_extended_;
-        const auto run_chain = [&](auto observed, auto profiled) {
-          return RunFusedChain<decltype(observed)::value, decltype(profiled)::value>(
-              thread, fb, index, max_count - executed, steps_base, &resume, &resume_index);
-        };
-        using kNo = std::false_type;
-        using kYes = std::true_type;
-        executed += quiet ? (prof == nullptr ? run_chain(kNo{}, kNo{}) : run_chain(kNo{}, kYes{}))
-                          : (prof == nullptr ? run_chain(kYes{}, kNo{}) : run_chain(kYes{}, kYes{}));
-        max_count += chain_extended_ - extended_before;  // renewals grew the burst
-        if (done_) {
-          return executed;  // fault inside the fused body; frame already synced
-        }
-        // Deopt: resume per-op interpretation wherever the chain stopped — a
-        // non-fused successor (entered, index 0; its enter accounting already
-        // ran inside the chain) or the exact op where the quantum ended.
-        block = resume;
-        instrs = block->instrs;
-        block_size = block->size;
-        index = resume_index;
-        if (prof != nullptr) {
-          prof_retired = &prof->retired[block->profile_index];
-        }
-        continue;
-      }
-    }
     GIST_CHECK_LT(index, block_size);
     const DecodedInstr& instr = instrs[index];
     ++executed;
@@ -694,439 +633,6 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
   return executed;
 }
 
-// The superinstruction executor (DESIGN.md §12). Entered from StepBurst at
-// any instruction of a fused block; stays inside fused bodies while
-// terminators land on fused successors. The straight-line loop is the tier's
-// whole point: no per-op bounds check, budget check, hook probe, profile
-// pointer test, or retire branch — those costs are paid once per quantum
-// chunk or once per region instead. When the burst budget dies inside the
-// region, RenewQuantum runs the scheduler boundary in place: the chain keeps
-// going whenever the same thread is rescheduled (the hot single-threaded
-// case) and deopts on an actual handoff, so fused chains span quanta without
-// moving a single scheduling boundary.
-//
-// Byte identity with StepBurst is preserved op for op:
-//   * counters (mem_accesses, access_seq_, branches, block_enters, bursts,
-//     context_switches, profile exec/retired/edges) take identical final
-//     values — retired is charged per quantum chunk instead of per op, which
-//     is invisible outside the run;
-//   * scheduler state is identical: a renewal consumes the same PickNext()
-//     and quantum-re-roll rng draws at the same retired-instruction boundary
-//     the fast path would, and dispatches the same OnContextSwitch when the
-//     pick changes threads;
-//   * kObserved replicates the exact batch pushes and boundary dispatches:
-//     straight-line ops append to the mem/retired batch buffers, a kBr
-//     flushes via Dispatch(on_branch_) before the branch event and via
-//     Dispatch(on_block_enter_) after pushing the branch's own retired id —
-//     the same flush boundaries, sizes, and event order as the fast path;
-//   * faults sync the frame to the faulting op (index = op + 1, exactly
-//     where the fast path leaves it) and raise the identical FailureReport;
-//     the faulting op is charged to the step budget but never retired to a
-//     batch, and a faulting access bumps no access counters.
-template <bool kObserved, bool kProfiled>
-uint64_t Vm::RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t index,
-                           uint64_t budget, uint64_t steps_base, const DecodedBlock** resume,
-                           uint32_t* resume_index) {
-  const ThreadId tid = thread.id;
-  const CoreId core = thread.core;
-  Frame* const frame = &thread.stack.back();
-  Word* const regs = frame->regs.data();
-  const FunctionId function_id = frame->function->id;
-  [[maybe_unused]] BlockProfile* const prof = options_.profile;
-  const bool mem_batched = kObserved && !on_mem_batched_.empty();
-  const bool retired_batched = kObserved && !on_retired_batched_.empty();
-
-  uint64_t executed = 0;
-  const FusedOp* chunk_begin = nullptr;
-  ++result_.stats.fused_chains;
-  const FusedBlock* const* const fused_entries = fused_entry_.data();
-
-  // Counters the hot loop bumps once or more per block, accumulated in
-  // registers and folded into result_.stats at every chain exit (faults
-  // included: fault_at flushes before the failure is raised).
-  uint64_t c_retired = 0;
-  uint64_t c_blocks = 0;
-  uint64_t c_branches = 0;
-  uint64_t c_enters = 0;
-  auto flush_stats = [&] {
-    RunStats& stats = result_.stats;
-    stats.fused_retired += c_retired;
-    stats.fused_blocks += c_blocks;
-    stats.branches += c_branches;
-    stats.block_enters += c_enters;
-    c_retired = c_blocks = c_branches = c_enters = 0;
-  };
-
-  // Fault exit: charge the current chunk's ops (the faulting op included) and
-  // park the frame on the instruction after it, which is where StepBurst's
-  // ++index-before-switch leaves it.
-  auto fault_at = [&](const FusedOp* op) {
-    const uint64_t ops_done = static_cast<uint64_t>(op - chunk_begin) + 1;
-    executed += ops_done;
-    c_retired += ops_done;
-    flush_stats();
-    if constexpr (kProfiled) {
-      prof->retired[fb->profile_index] += ops_done;
-    }
-    frame->block = fb->block;
-    frame->index = static_cast<uint32_t>(op - fb->body) + 1;
-  };
-  auto mem_fault = [&](const FusedOp* op, MemFault fault, Addr addr) {
-    fault_at(op);
-    const DecodedInstr& instr = *op->src;
-    const Instruction& full = *instr.src;
-    RaiseFailure(thread, MemFaultToFailure(fault), instr.id,
-                 StrFormat("%s at address 0x%llx: %s",
-                           FailureTypeName(MemFaultToFailure(fault)),
-                           static_cast<unsigned long long>(addr),
-                           full.loc.text.empty() ? OpcodeName(instr.op) : full.loc.text.c_str()));
-  };
-  auto push_retired = [&](InstrId id) {
-    if (retired_batched) {
-      if (retired_batch_.empty()) {
-        batch_tid_ = tid;
-        batch_core_ = core;
-      }
-      retired_batch_.push_back(id);
-    }
-  };
-
-  // Dispatch-state locals shared by every entry into the threaded region
-  // below; each entry point sets them before jumping into the table.
-  const FusedOp* op = nullptr;
-  const FusedOp* end = nullptr;
-  const FusedOp* body_ops = nullptr;
-  uint32_t body = 0;
-  const DecodedBlock* next = nullptr;
-  uint32_t next_pi = 0;
-
-  // Token-threaded dispatch (GNU computed goto, supported by GCC and
-  // Clang; the build targets both). Every handler jumps to the next op's
-  // handler from its own indirect-branch site, so the predictor learns
-  // the per-op successor pattern of the fused body instead of sharing
-  // one switch-dispatch target across every op. Entries follow ExecOp
-  // declaration order; ops the builder never admits alias op_nop, and the
-  // kBr/kJmp slots serve the sentinel terminator each fused body carries at
-  // ops[body_len], so the stream flows off the last body op straight into
-  // the terminator handler without leaving the dispatch region.
-  static const void* const kDispatch[] = {
-      &&op_const, &&op_move,  &&op_not,    &&op_add,     &&op_sub,  &&op_mul,
-      &&op_div,   &&op_rem,   &&op_eq,     &&op_ne,      &&op_lt,   &&op_le,
-      &&op_gt,    &&op_ge,    &&op_and,    &&op_or,      &&op_xor,  &&op_shl,
-      &&op_shr,   &&op_load,  &&op_store,  &&op_addrof,  &&op_gep,  &&op_alloc,
-      &&op_free,  &&op_nop /* kCall */,    &&op_nop /* kRet */,
-      &&op_term_br /* kBr */, &&op_term_jmp /* kJmp */,  &&op_assert,
-      &&op_nop /* kThreadCreate */,        &&op_nop /* kThreadJoin */,
-      &&op_nop /* kLock */,   &&op_nop /* kUnlock */,    &&op_input,
-      &&op_print, &&op_nop};
-#define GIST_FUSED_NEXT()                                 \
-  do {                                                    \
-    if constexpr (kObserved) {                            \
-      push_retired(op->src->id);                          \
-    }                                                     \
-    if (++op == end) {                                    \
-      goto chunk_done;                                    \
-    }                                                     \
-    goto* kDispatch[static_cast<size_t>(op->exec)];       \
-  } while (false)
-
-block_top:
-  ++c_blocks;
-  body_ops = fb->body;
-  body = fb->body_len;
-chunk_next:
-  if (budget - executed > body - index) {
-    // The whole remaining body plus the terminator fit in the budget: run
-    // the threaded stream straight through the sentinel terminator, which
-    // exits via term_done below (`end` is never reached on this path).
-    op = body_ops + index;
-    end = body_ops + body + 1;
-    chunk_begin = op;
-    goto* kDispatch[static_cast<size_t>(op->exec)];
-  }
-  if (executed == budget) {
-    const uint64_t renewed = RenewQuantum(thread, steps_base + executed);
-    if (renewed == 0) {
-      flush_stats();
-      *resume = fb->block;
-      *resume_index = index;  // index == body: resume on the terminator itself
-      return executed;
-    }
-    budget += renewed;
-    goto chunk_next;
-  }
-  // The budget expires at or before the terminator: run the body ops the
-  // quantum still covers, land in chunk_done, renew, repeat.
-  op = body_ops + index;
-  end = op + (budget - executed);
-  chunk_begin = op;
-  goto* kDispatch[static_cast<size_t>(op->exec)];
-
-chunk_done:
-  // Partial-chunk accounting: these ops retired (matching StepBurst's per-op
-  // retired bumps); the budget is now exactly spent, chunk_next renews.
-  {
-    const uint64_t done = static_cast<uint64_t>(op - chunk_begin);
-    index += static_cast<uint32_t>(done);
-    executed += done;
-    c_retired += done;
-    if constexpr (kProfiled) {
-      prof->retired[fb->profile_index] += done;
-    }
-  }
-  goto chunk_next;
-    op_const:
-      regs[op->dst] = op->imm;
-      GIST_FUSED_NEXT();
-    op_move:
-      regs[op->dst] = regs[op->a];
-      GIST_FUSED_NEXT();
-    op_not:
-      regs[op->dst] = regs[op->a] == 0 ? 1 : 0;
-      GIST_FUSED_NEXT();
-    op_add:
-      regs[op->dst] = regs[op->a] + regs[op->b];
-      GIST_FUSED_NEXT();
-    op_sub:
-      regs[op->dst] = regs[op->a] - regs[op->b];
-      GIST_FUSED_NEXT();
-    op_mul:
-      regs[op->dst] = regs[op->a] * regs[op->b];
-      GIST_FUSED_NEXT();
-    op_div:
-      if (regs[op->b] == 0) {
-        fault_at(op);
-        RaiseFailure(thread, FailureType::kArithmeticFault, op->src->id, "division by zero");
-        return executed;
-      }
-      regs[op->dst] = regs[op->a] / regs[op->b];
-      GIST_FUSED_NEXT();
-    op_rem:
-      if (regs[op->b] == 0) {
-        fault_at(op);
-        RaiseFailure(thread, FailureType::kArithmeticFault, op->src->id, "division by zero");
-        return executed;
-      }
-      regs[op->dst] = regs[op->a] % regs[op->b];
-      GIST_FUSED_NEXT();
-    op_eq:
-      regs[op->dst] = regs[op->a] == regs[op->b];
-      GIST_FUSED_NEXT();
-    op_ne:
-      regs[op->dst] = regs[op->a] != regs[op->b];
-      GIST_FUSED_NEXT();
-    op_lt:
-      regs[op->dst] = regs[op->a] < regs[op->b];
-      GIST_FUSED_NEXT();
-    op_le:
-      regs[op->dst] = regs[op->a] <= regs[op->b];
-      GIST_FUSED_NEXT();
-    op_gt:
-      regs[op->dst] = regs[op->a] > regs[op->b];
-      GIST_FUSED_NEXT();
-    op_ge:
-      regs[op->dst] = regs[op->a] >= regs[op->b];
-      GIST_FUSED_NEXT();
-    op_and:
-      regs[op->dst] = (regs[op->a] != 0) && (regs[op->b] != 0);
-      GIST_FUSED_NEXT();
-    op_or:
-      regs[op->dst] = (regs[op->a] != 0) || (regs[op->b] != 0);
-      GIST_FUSED_NEXT();
-    op_xor:
-      regs[op->dst] = regs[op->a] ^ regs[op->b];
-      GIST_FUSED_NEXT();
-    op_shl:
-      regs[op->dst] =
-          static_cast<Word>(static_cast<uint64_t>(regs[op->a]) << (regs[op->b] & 63));
-      GIST_FUSED_NEXT();
-    op_shr:
-      regs[op->dst] =
-          static_cast<Word>(static_cast<uint64_t>(regs[op->a]) >> (regs[op->b] & 63));
-      GIST_FUSED_NEXT();
-    op_load: {
-      const Addr addr = static_cast<Addr>(regs[op->a]);
-      Word value = 0;
-      const MemFault fault = memory_.Read(addr, &value);
-      if (fault != MemFault::kOk) {
-        mem_fault(op, fault, addr);
-        return executed;
-      }
-      regs[op->dst] = value;
-      ++result_.stats.mem_accesses;
-      const uint64_t seq = access_seq_++;
-      if (mem_batched) {
-        mem_batch_.push_back(
-            MemAccessEvent{seq, tid, core, op->src->id, addr, value, /*is_write=*/false});
-      }
-      GIST_FUSED_NEXT();
-    }
-    op_store: {
-      const Addr addr = static_cast<Addr>(regs[op->a]);
-      const Word value = regs[op->b];
-      const MemFault fault = memory_.Write(addr, value);
-      if (fault != MemFault::kOk) {
-        mem_fault(op, fault, addr);
-        return executed;
-      }
-      ++result_.stats.mem_accesses;
-      const uint64_t seq = access_seq_++;
-      if (mem_batched) {
-        mem_batch_.push_back(
-            MemAccessEvent{seq, tid, core, op->src->id, addr, value, /*is_write=*/true});
-      }
-      GIST_FUSED_NEXT();
-    }
-    op_addrof:
-      regs[op->dst] = static_cast<Word>(memory_.GlobalAddr(op->global)) + op->imm;
-      GIST_FUSED_NEXT();
-    op_gep:
-      regs[op->dst] = regs[op->a] + regs[op->b];
-      GIST_FUSED_NEXT();
-    op_alloc: {
-      const Word size = regs[op->a];
-      regs[op->dst] =
-          static_cast<Word>(memory_.Alloc(size > 0 ? static_cast<uint64_t>(size) : 1));
-      GIST_FUSED_NEXT();
-    }
-    op_free: {
-      const Addr addr = static_cast<Addr>(regs[op->a]);
-      const MemFault fault = memory_.Free(addr);
-      if (fault != MemFault::kOk) {
-        mem_fault(op, fault, addr);
-        return executed;
-      }
-      GIST_FUSED_NEXT();
-    }
-    op_assert:
-      if (regs[op->a] == 0) {
-        fault_at(op);
-        RaiseFailure(thread, FailureType::kAssertViolation, op->src->id,
-                     "assertion failed: " + op->src->src->text);
-        return executed;
-      }
-      GIST_FUSED_NEXT();
-    op_input: {
-      const size_t input_index = static_cast<size_t>(op->imm);
-      regs[op->dst] =
-          input_index < workload_.inputs.size() ? workload_.inputs[input_index] : 0;
-      GIST_FUSED_NEXT();
-    }
-    op_print:
-      result_.outputs.push_back(regs[op->a]);
-      GIST_FUSED_NEXT();
-    op_nop:
-      GIST_FUSED_NEXT();
-#undef GIST_FUSED_NEXT
-
-    // --- sentinel terminator (one more step of the quantum) -------------------
-    // Only the whole-body fast path above dispatches here; chunk_next never
-    // admits the sentinel unless the budget covers it.
-    op_term_br: {
-      const bool taken = regs[fb->cond] != 0;
-      ++c_branches;
-      if constexpr (kProfiled) {
-        ++(taken ? prof->taken : prof->not_taken)[fb->profile_index];
-      }
-      next = taken ? fb->taken : fb->not_taken;
-      next_pi = taken ? fb->taken_pi : fb->not_taken_pi;
-      if constexpr (kObserved) {
-        const InstrId term_id = fb->term_src->id;
-        Dispatch(on_branch_,
-                 [&](ExecutionObserver& o) { o.OnBranch(tid, core, term_id, taken); });
-      }
-      goto term_done;
-    }
-    op_term_jmp:
-      next = fb->taken;
-      next_pi = fb->taken_pi;
-    term_done: {
-      // Chunk + terminator accounting: the body ops of this chunk and the
-      // terminator retired (matching StepBurst's per-op retired bumps), and
-      // `next` entered (matching StepBurst's enter_block).
-      const uint64_t done = static_cast<uint64_t>(op - chunk_begin) + 1;
-      executed += done;
-      c_retired += done;
-      ++c_enters;
-      if constexpr (kProfiled) {
-        prof->retired[fb->profile_index] += done;
-        ++prof->exec[next_pi];
-      }
-      if constexpr (kObserved) {
-        push_retired(fb->term_src->id);
-        Dispatch(on_block_enter_, [&](ExecutionObserver& o) {
-          o.OnBlockEnter(tid, core, function_id, next->id);
-        });
-      }
-      // Chain or deopt: stay fused while the successor has a fused body — the
-      // quantum is no longer a reason to leave, renewal handles it above.
-      const FusedBlock* const next_fb = fused_entries[next_pi];
-      if (next_fb == nullptr) {
-        flush_stats();
-        *resume = next;
-        *resume_index = 0;
-        return executed;
-      }
-      fb = next_fb;
-      index = 0;
-      goto block_top;
-    }
-}
-
-// See the declaration for the contract. Correctness hinges on the call
-// condition: the fused executor renews only when its budget is exactly spent,
-// and a burst clamped below the quantum means the step budget or an injected
-// kill lands at the burst's end — both exits below fire before any randomness
-// is consumed, so Run()'s loop top re-detects them on unchanged state.
-// Past those, the clamps guarantee the active quantum itself is spent, which
-// is precisely Run()'s need_switch condition.
-uint64_t Vm::RenewQuantum(ThreadState& thread, uint64_t steps_now) {
-  if (options_.kill_after_steps != 0 && steps_now >= options_.kill_after_steps) {
-    return 0;  // Run()'s loop top records the injected death
-  }
-  if (steps_now >= options_.max_steps) {
-    return 0;  // Run()'s loop top raises the hang
-  }
-  // `thread` is mid-execution (fused ops cannot block or exit), so it is
-  // runnable and PickNext() cannot come up empty.
-  const ThreadId next = PickNext();
-  const uint64_t quantum = workload_.min_quantum + rng_.NextBelow(quantum_draw_);
-  chain_renewed_ = true;
-  chain_next_ = next;
-  if (next != thread.id) {
-    ++result_.stats.context_switches;
-    const CoreId core = threads_[next].core;
-    const ThreadId prev = core_occupant_[core];
-    core_occupant_[core] = next;
-    const Frame& next_frame = threads_[next].stack.back();
-    // Dispatch flushes the batch buffers first, closing the outgoing chain's
-    // slice — exactly the fast path's switch boundary.
-    Dispatch(on_context_switch_, [&](ExecutionObserver& o) {
-      o.OnContextSwitch(core, prev, next, next_frame.function->id, next_frame.block->id,
-                        next_frame.index);
-    });
-    chain_switched_ = true;
-    chain_quantum_ = quantum;  // the incoming thread's fresh, unconsumed quantum
-    return 0;
-  }
-  // Same thread: extend the running burst, with Run()'s exact clamps.
-  uint64_t burst = quantum == 0 ? 1 : quantum;
-  const uint64_t remaining = options_.max_steps - steps_now;
-  if (burst > remaining) {
-    burst = remaining;
-  }
-  if (options_.kill_after_steps != 0) {
-    const uint64_t until_kill = options_.kill_after_steps - steps_now;
-    if (burst > until_kill) {
-      burst = until_kill;
-    }
-  }
-  ++result_.stats.bursts;
-  chain_quantum_ = quantum > burst ? quantum - burst : 0;  // owed past this burst
-  chain_extended_ += burst;
-  return burst;
-}
-
 ThreadId Vm::PickNext() {
   uint32_t runnable = 0;
   ThreadId only = kNoThread;
@@ -1177,11 +683,6 @@ RunResult Vm::Run() {
 
   quantum_draw_ = FixedBound(workload_.max_quantum - workload_.min_quantum + 1);
   uint64_t quantum = workload_.min_quantum + rng_.NextBelow(quantum_draw_);
-  // Set when the fused executor already ran the scheduler boundary in place
-  // (a quantum renewal that handed off to another thread, DESIGN.md §12):
-  // the pick, dispatch, and re-roll all happened, so the boundary below must
-  // not run a second time.
-  bool skip_boundary = false;
 
   while (!done_) {
     if (options_.kill_after_steps != 0 && result_.stats.steps >= options_.kill_after_steps) {
@@ -1202,10 +703,7 @@ RunResult Vm::Run() {
     }
 
     ThreadState* thread = &threads_[current];
-    const bool need_switch =
-        !skip_boundary && (thread->status != ThreadStatus::kRunnable || quantum == 0);
-    skip_boundary = false;
-    if (need_switch) {
+    if (thread->status != ThreadStatus::kRunnable || quantum == 0) {
       const ThreadId next = PickNext();
       if (next == kNoThread) {
         bool any_blocked = false;
@@ -1264,29 +762,10 @@ RunResult Vm::Run() {
         burst = until_kill;
       }
     }
-    chain_renewed_ = false;
-    chain_switched_ = false;
-    chain_extended_ = 0;
     ++result_.stats.bursts;
     const uint64_t executed = StepBurst(*thread, burst);
     result_.stats.steps += executed;
-    if (chain_renewed_) {
-      // The fused executor crossed scheduler boundaries inside this burst.
-      // Adopt its final state: after a handoff the incoming thread owns a
-      // fresh quantum and the boundary already ran; otherwise what's owed on
-      // the thread's last quantum is the last renewal's leftover plus any
-      // granted budget the burst didn't consume (a fault or block cut it
-      // short).
-      if (chain_switched_) {
-        current = chain_next_;
-        quantum = chain_quantum_;
-        skip_boundary = true;
-      } else {
-        quantum = chain_quantum_ + (burst + chain_extended_ - executed);
-      }
-    } else {
-      quantum -= std::min(executed, quantum);
-    }
+    quantum -= std::min(executed, quantum);
   }
   // Deliver any trailing buffered events (failure or budget-exhaustion ends
   // mid-slice) so observers see the complete run before TakeTrace-style

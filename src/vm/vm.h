@@ -25,19 +25,35 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/ir/module.h"
-#include "src/obs/profiler.h"
 #include "src/support/rng.h"
+#include "src/vm/block_profile.h"
 #include "src/vm/decoded_module.h"
 #include "src/vm/failure.h"
 #include "src/vm/memory.h"
 #include "src/vm/observer.h"
-#include "src/vm/superinstr.h"
 #include "src/vm/workload.h"
 
 namespace gist {
+
+// Which interpreter executes monitored runs. The tier is a pure throughput
+// knob: FleetResult, PT streams, watch events, metrics, trace, and profile
+// exports are byte-identical across tiers (tests/vm_fastpath_test.cc,
+// tests/fleet_tier_test.cc).
+enum class ExecTier : uint8_t {
+  kFast = 0,       // pre-decoded StepBurst (DESIGN.md §7) — the default
+  kReference = 1,  // unbatched dispatch, hook everywhere — the semantics oracle
+  // Retired: the deleted superinstruction tier (DESIGN.md §12). Kept only
+  // because sketchbench/mirror.cc:117 still names it; ParseExecTier never
+  // returns it and RunMonitored CHECK-fails on it.
+  kSuper = 2,
+};
+
+// Accepts "fast" and "ref"/"reference". Returns false on anything else.
+bool ParseExecTier(std::string_view text, ExecTier* tier);
 
 struct VmOptions {
   uint32_t num_cores = 4;
@@ -58,22 +74,15 @@ struct VmOptions {
   // Shared pre-decoded cache for `module` (must be decoded from the same
   // Module instance and outlive the VM). Null: the VM decodes privately.
   const DecodedModule* decoded = nullptr;
-  // Superinstruction tier (DESIGN.md §12): profile-selected fused block
-  // bodies compiled from the same DecodedModule as `decoded` (must outlive
-  // the VM). Engaged only when the observer set permits batching everywhere
-  // (no immediate retired/mem subscribers, no reference dispatch); blocks
-  // containing hook sites deopt per-block. Null: fast path only.
-  const FusedModule* fused = nullptr;
   // Reference dispatch: ignore batching opt-ins and deliver every event as
   // one virtual call per event, and call the hook at every instruction —
   // the semantics the fast path must match byte-for-byte. Used by
   // tests/vm_fastpath_test.cc; keep off otherwise.
   bool reference_dispatch = false;
-  // Caller-owned profile shard (src/obs/profiler.h): when set, the
+  // Caller-owned profile shard (src/vm/block_profile.h): when set, the
   // interpreter bumps per-block exec/retired/taken/not_taken counters in it,
-  // indexed by DecodedBlock::profile_index. BlockProfile is header-only, so
-  // this adds no link dependency on the obs library. The VM sizes the shard
-  // at construction; counts accumulate across runs if the caller reuses it.
+  // indexed by DecodedBlock::profile_index. The VM sizes the shard at
+  // construction; counts accumulate across runs if the caller reuses it.
   BlockProfile* profile = nullptr;
 };
 
@@ -110,14 +119,6 @@ struct RunStats {
   // bucket i holds sizes with bit_width == i, last bucket absorbs wider).
   static constexpr uint32_t kFlushSizeBuckets = 17;
   uint32_t flush_size_log2[kFlushSizeBuckets] = {};
-
-  // --- superinstruction-tier telemetry (DESIGN.md §12) ----------------------
-  // Tier-dependent by definition (zero on the fast path), so these never
-  // enter the deterministic metrics export — the fleet surfaces them through
-  // the flight recorder's annotation side channel only, like cache stats.
-  uint64_t fused_chains = 0;   // fusion-region entries (each exits via deopt)
-  uint64_t fused_blocks = 0;   // fused block bodies executed
-  uint64_t fused_retired = 0;  // instructions retired inside fused bodies
 };
 
 struct RunResult {
@@ -174,31 +175,6 @@ class Vm {
   // number of instructions executed; the caller charges them to the step
   // budget and the remaining quantum.
   uint64_t StepBurst(ThreadState& thread, uint64_t max_count);
-  // Superinstruction executor (DESIGN.md §12): runs fused block bodies
-  // starting at instruction `index` of `fb`, staying inside fusion regions
-  // while successors are fused. When the burst budget dies inside the region
-  // it consumes the scheduler boundary itself (RenewQuantum) and keeps going
-  // if the same thread is rescheduled, so hot single-threaded chains span
-  // many quanta. Returns the instructions retired and the deopt position
-  // (block + index, enter accounting already done) via `resume`/
-  // `resume_index`; `steps_base` is the run's retired count at chain entry
-  // (the renewal budget checks need it live). kObserved replicates the fast
-  // path's exact batch pushes and boundary dispatches; !kObserved is the
-  // pure-compute loop. kProfiled mirrors options_.profile != nullptr so the
-  // common unprofiled configuration carries no per-block profile tests. On a
-  // fault the frame is synced to the faulting op and done_ is set.
-  template <bool kObserved, bool kProfiled>
-  uint64_t RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t index,
-                         uint64_t budget, uint64_t steps_base, const DecodedBlock** resume,
-                         uint32_t* resume_index);
-  // Scheduler boundary run in place by the fused executor when its quantum is
-  // exactly spent (DESIGN.md §12): replicates Run()'s loop top bit for bit —
-  // budget checks, one PickNext() draw, context-switch accounting/dispatch,
-  // quantum re-roll, burst count — and returns the renewed burst when
-  // `thread` itself is rescheduled. Returns 0 when the chain must unwind: the
-  // run is out of budget (Run()'s loop top re-detects it on unchanged state)
-  // or another thread was picked (the chain_* channel carries the handoff).
-  uint64_t RenewQuantum(ThreadState& thread, uint64_t steps_now);
   void ExitThread(ThreadState& thread);
   // Selects the next thread to run; kNoThread if none are runnable.
   ThreadId PickNext();
@@ -235,9 +211,8 @@ class Vm {
   Memory memory_;
   Rng rng_;
   // Quantum re-roll span (max_quantum - min_quantum + 1) with its per-draw
-  // divisions precomputed — this draw runs once per scheduling quantum, both
-  // in Run()'s boundary and in the fused executor's renewals. Re-aimed at the
-  // workload's span on Run() entry.
+  // divisions precomputed — this draw runs once per scheduling quantum.
+  // Re-aimed at the workload's span on Run() entry.
   FixedBound quantum_draw_{1};
   std::vector<ThreadState> threads_;
   std::map<Addr, Mutex> mutexes_;
@@ -268,21 +243,6 @@ class Vm {
   // hook_sites_[id] != 0: the hook wants BeforeInstr/AfterInstr at `id`.
   std::vector<uint8_t> hook_sites_;
   bool hook_everywhere_ = false;  // reference mode or hook without site info
-
-  // Superinstruction entry table by profile_index (empty: tier disabled for
-  // this run). Built in BuildDispatch from options_.fused minus the per-run
-  // deopt exclusions (hook-site blocks).
-  std::vector<const FusedBlock*> fused_entry_;
-
-  // Quantum-renewal channel between the fused executor and Run()'s scheduler
-  // loop (DESIGN.md §12). When RunFusedChain consumes scheduler boundaries in
-  // place, these carry the resulting scheduler state back so Run() adopts it
-  // instead of running the boundary a second time. Reset before every burst.
-  bool chain_renewed_ = false;   // ≥1 boundary consumed inside the chain
-  bool chain_switched_ = false;  // ...and the last one picked another thread
-  ThreadId chain_next_ = 0;      // the last boundary's pick
-  uint64_t chain_quantum_ = 0;   // switched: its fresh quantum; else steps owed
-  uint64_t chain_extended_ = 0;  // budget renewals added to the running burst
 };
 
 }  // namespace gist

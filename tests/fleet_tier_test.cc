@@ -1,13 +1,10 @@
-// Tier-mixing determinism contract of the superinstruction tier (DESIGN.md
-// §12): the execution tier is a pure throughput knob. A fleet whose workers
-// mix reference dispatch, the pre-decoded fast path, and the fused super
-// tier — per run, via FleetOptions::tier_for_run — must produce the same
+// Fleet-level tier contract: the execution tier (GistOptions::tier) is a
+// pure throughput knob. An all-reference-dispatch fleet must produce the same
 // FleetResult and byte-identical metrics (modulo the dispatcher's own
 // "engine." batching bookkeeping) / trace / profile exports as an all-fast
-// fleet, at every worker count, faults on and off. The TSan stage
-// runs this suite too: the shared FusedModule is immutable after Build and
-// concurrently read by every worker, which is exactly the aliasing a race
-// would hide in.
+// fleet, faults on and off, and a reference fleet must be byte-identical at
+// every worker count. The TSan stage runs this suite too: every worker reads
+// the server's shared DecodedModule concurrently.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +16,7 @@
 #include "src/coop/fleet.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/profiler.h"
-#include "src/vm/superinstr.h"
+#include "src/vm/vm.h"
 
 namespace gist {
 namespace {
@@ -48,8 +45,7 @@ struct TieredFleet {
 };
 
 TieredFleet RunTieredFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs,
-                           std::function<ExecTier(uint64_t)> tier_for_run, bool faulted,
-                           std::string_view metrics_exclude = {}) {
+                           ExecTier tier, bool faulted, std::string_view metrics_exclude = {}) {
   FlightRecorder recorder;
   HotPathProfiler profiler;
   FleetOptions options;
@@ -59,7 +55,7 @@ TieredFleet RunTieredFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs
   options.jobs = jobs;
   options.recorder = &recorder;
   options.profiler = &profiler;
-  options.tier_for_run = std::move(tier_for_run);
+  options.gist.tier = tier;
   if (faulted) {
     options.faults = ModerateFaults();
   }
@@ -81,21 +77,6 @@ TieredFleet RunTieredFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs
   tiered.trace_json = recorder.TraceJson();
   tiered.profile_json = profiler.ProfileJson();
   return tiered;
-}
-
-// Deterministic per-run tier mix: workers pulling adjacent run indices off
-// the queue land on different interpreters, so one fleet exercises every
-// tier pairing across threads. A pure function of the run index, never of
-// worker identity — the contract tier_for_run documents.
-ExecTier MixedTier(uint64_t run_index) {
-  switch (run_index % 3) {
-    case 0:
-      return ExecTier::kSuper;
-    case 1:
-      return ExecTier::kFast;
-    default:
-      return ExecTier::kReference;
-  }
 }
 
 void ExpectIdentical(const TieredFleet& a, const TieredFleet& b) {
@@ -125,10 +106,10 @@ void ExpectIdentical(const TieredFleet& a, const TieredFleet& b) {
 }
 
 // apache-2 exercises mid-iteration refinement replans; transmission the
-// watchpoint rotation — both under every tier mix.
+// watchpoint rotation — both under both tiers.
 class FleetTierTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(FleetTierTest, MixedTierFleetMatchesAllFastByteForByte) {
+TEST_P(FleetTierTest, AllRefFleetMatchesAllFastByteForByte) {
   std::unique_ptr<BugApp> app = MakeAppByName(GetParam());
   ASSERT_NE(app, nullptr);
   // Cross-tier comparisons filter the "engine." namespace, exactly like the
@@ -140,25 +121,23 @@ TEST_P(FleetTierTest, MixedTierFleetMatchesAllFastByteForByte) {
   for (const bool faulted : {false, true}) {
     SCOPED_TRACE(faulted ? "faulted" : "healthy");
     const TieredFleet all_fast =
-        RunTieredFleet(*app, 2015, /*jobs=*/4, /*tier_for_run=*/nullptr, faulted, "engine.");
+        RunTieredFleet(*app, 2015, /*jobs=*/4, ExecTier::kFast, faulted, "engine.");
     ASSERT_TRUE(all_fast.result.first_failure_found);
-    const TieredFleet mixed =
-        RunTieredFleet(*app, 2015, /*jobs=*/4, MixedTier, faulted, "engine.");
-    ExpectIdentical(all_fast, mixed);
-    const TieredFleet all_super = RunTieredFleet(
-        *app, 2015, /*jobs=*/4, [](uint64_t) { return ExecTier::kSuper; }, faulted, "engine.");
-    ExpectIdentical(all_fast, all_super);
+    const TieredFleet all_ref =
+        RunTieredFleet(*app, 2015, /*jobs=*/4, ExecTier::kReference, faulted, "engine.");
+    ExpectIdentical(all_fast, all_ref);
   }
 }
 
-TEST_P(FleetTierTest, MixedTierFleetIsWorkerCountInvariant) {
+TEST_P(FleetTierTest, RefFleetIsWorkerCountInvariant) {
   std::unique_ptr<BugApp> app = MakeAppByName(GetParam());
   ASSERT_NE(app, nullptr);
   const TieredFleet sequential =
-      RunTieredFleet(*app, 11, /*jobs=*/1, MixedTier, /*faulted=*/true);
+      RunTieredFleet(*app, 11, /*jobs=*/1, ExecTier::kReference, /*faulted=*/true);
   for (const uint32_t jobs : {2u, 8u}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    const TieredFleet parallel = RunTieredFleet(*app, 11, jobs, MixedTier, /*faulted=*/true);
+    const TieredFleet parallel =
+        RunTieredFleet(*app, 11, jobs, ExecTier::kReference, /*faulted=*/true);
     ExpectIdentical(sequential, parallel);
   }
 }

@@ -208,8 +208,22 @@ TEST(ProfilerTest, DiffRejectsDeepNestingOverflowAndMistypedNames) {
            block + "]}";
   };
   const std::string good =
-      profile("{\"function\": \"main\", \"block\": \"entry\", \"retired\": 5, \"fused\": 0}");
+      profile("{\"function\": \"main\", \"block\": \"entry\", \"retired\": 5}");
   ASSERT_TRUE(DiffProfiles(good, good).parsed);
+
+  // Drift must not wrap: 1 -> 18446744073709553 retired is a ~1.8e19-permille
+  // regression, and `delta * 1000` in 64 bits would wrap it to 384.
+  const std::string before = profile(
+      "{\"function\": \"main\", \"block\": \"entry\", \"retired\": 1}, "
+      "{\"function\": \"main\", \"block\": \"exit\", \"retired\": 4}");
+  const std::string after = profile(
+      "{\"function\": \"main\", \"block\": \"entry\", \"retired\": 18446744073709553}, "
+      "{\"function\": \"main\", \"block\": \"exit\", \"retired\": 4}");
+  ProfileDiffOptions lenient;
+  lenient.max_drift_permille = 500;
+  const ProfileDiffResult huge = DiffProfiles(before, after, lenient);
+  EXPECT_TRUE(huge.parsed) << huge.error;
+  EXPECT_FALSE(huge.ok) << huge.report;
 
   const std::string bad[] = {
       std::string(100000, '['),

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -173,6 +174,46 @@ TEST(StrTest, Padding) {
   EXPECT_EQ(PadRight("ab", 4), "ab  ");
   EXPECT_EQ(PadLeft("ab", 4), "  ab");
   EXPECT_EQ(PadRight("abcde", 4), "abcde");
+}
+
+TEST(StrTest, ParseUintIsStrict) {
+  uint64_t value = 7;
+  EXPECT_TRUE(ParseUint("0", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseUint("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  EXPECT_TRUE(ParseUint("4294967295", &value, UINT32_MAX));
+  EXPECT_EQ(value, UINT32_MAX);
+  // Overflow: one past the type, one past an explicit cap, and a cap below
+  // a single digit.
+  value = 7;
+  for (const char* text : {"18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseUint(text, &value)) << text;
+  }
+  EXPECT_FALSE(ParseUint("4294967296", &value, UINT32_MAX));
+  EXPECT_FALSE(ParseUint("4294967297", &value, UINT32_MAX));
+  EXPECT_FALSE(ParseUint("5", &value, 3));
+  // Sign, whitespace, trailing garbage, empty input.
+  for (const char* text : {"-1", "+1", " 1", "1 ", "1x", "4x", "abc", "0x10", "1.0", ""}) {
+    EXPECT_FALSE(ParseUint(text, &value)) << "'" << text << "'";
+  }
+  EXPECT_EQ(value, 7u);  // failures leave the output untouched
+}
+
+TEST(StrTest, ParseIntIsStrict) {
+  int64_t value = 7;
+  EXPECT_TRUE(ParseInt("-42", &value));
+  EXPECT_EQ(value, -42);
+  EXPECT_TRUE(ParseInt("9223372036854775807", &value));
+  EXPECT_EQ(value, INT64_MAX);
+  EXPECT_TRUE(ParseInt("-9223372036854775808", &value));
+  EXPECT_EQ(value, INT64_MIN);
+  value = 7;
+  for (const char* text : {"9223372036854775808", "-9223372036854775809", "+5", "--5", "-",
+                           "abc", "12abc", " 3", ""}) {
+    EXPECT_FALSE(ParseInt(text, &value)) << "'" << text << "'";
+  }
+  EXPECT_EQ(value, 7);
 }
 
 TEST(JsonTest, ParsesEveryKind) {

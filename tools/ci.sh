@@ -80,10 +80,11 @@ stage_release() {
   # run.py builds them into .bench_build/.
   echo "=== [release] sketchbench unit tests ==="
   python3 sketchbench/run.py --test
-  # Perf smoke: the Release interpreter must stay within 30% of the committed
-  # steps/second baseline (BENCH_interp.json, regenerated with
-  # `micro_benchmarks --emit-json`). Strict mode: a missing or unreadable
-  # baseline is a CI failure, not a silent skip.
+  # Perf smoke: the Release fast-path interpreter must stay within 30% of the
+  # committed steps/second baseline (BENCH_interp.json, regenerated with
+  # `micro_benchmarks --emit-json`), and the profiler overhead and streaming-
+  # statistics update cost must stay under their ceilings. Strict mode: a
+  # missing or unreadable baseline is a CI failure, not a silent skip.
   echo "=== [release] perf smoke (strict) ==="
   ./build-ci-release/bench/micro_benchmarks \
     --perf-smoke=BENCH_interp.json --perf-smoke-strict
@@ -191,7 +192,8 @@ EOF
 stage_tsan() {
   # TSan halts the whole suite on the first race it sees; the engine's
   # determinism tests (fleet_parallel_test, fleet_chaos_test,
-  # thread_pool_test) are the hottest path.
+  # thread_pool_test, and fleet_tier_test's fast and reference fleets, whose
+  # workers all read one shared DecodedModule) are the hottest path.
   TSAN_OPTIONS="halt_on_error=1" \
     run_config tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGIST_SANITIZE=thread
 }

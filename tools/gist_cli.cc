@@ -49,8 +49,6 @@
 // Programs are MiniIR text files (see src/ir/parser.h for the grammar).
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,7 +87,7 @@ struct CliOptions {
   std::vector<Word> inputs;
   TelemetryExportOptions exports;  // shared --*-json export surface (app_util.h)
   std::string log_level;     // debug|info|warning|error
-  std::string tier;          // fast|ref|super execution tier (DESIGN.md §12)
+  std::string tier;          // fast|ref execution tier
 };
 
 int Usage() {
@@ -105,16 +103,15 @@ int Usage() {
                "       gist status <campaign.json>\n"
                "       gist corpus gen --out DIR [--seed N] [--count N] [--families a,b,c]\n"
                "       gist corpus run [--dir DIR | --seed N --count N] [--jobs N]\n"
-               "           [--tier fast|ref|super] [--chaos] [--fleet-seed N]\n"
+               "           [--tier fast|ref] [--chaos] [--fleet-seed N]\n"
                "           [--score-json PATH]\n"
                "       gist corpus score <run flags> --baseline BENCH_corpus.json\n"
                "           [--write-baseline PATH]\n"
                "common flags:\n"
                "  --log-level debug|info|warning|error   stderr verbosity (default info)\n"
-               "  --tier fast|ref|super   monitored-run execution tier (default fast;\n"
-               "                          super fuses profile-hot blocks, ref is the\n"
-               "                          always-dispatch oracle — results are\n"
-               "                          byte-identical across tiers)\n"
+               "  --tier fast|ref         monitored-run execution tier (default fast;\n"
+               "                          ref is the always-dispatch oracle — results\n"
+               "                          are byte-identical across tiers)\n"
                "  --metrics-json <path>   write the deterministic metrics snapshot\n"
                "                          (diagnose/diagnose-app/fix-app/corpus run|score)\n"
                "  --trace-json <path>     write the virtual-time span trace in Chrome\n"
@@ -136,30 +133,26 @@ bool ApplyTier(const CliOptions& options, FleetOptions* fleet_options) {
     return true;
   }
   if (!ParseExecTier(options.tier, &fleet_options->gist.tier)) {
-    std::fprintf(stderr, "unknown tier '%s' (expected fast, ref, or super)\n",
-                 options.tier.c_str());
+    std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n", options.tier.c_str());
     return false;
   }
   return true;
 }
 
 // Consumes the value of the numeric flag argv[*i] into `*out`. The value
-// must be a non-empty run of decimal digits that fits in 64 bits; anything
-// else (a sign, trailing characters, overflow) is a usage error.
-bool NextUint(int argc, char** argv, int* i, uint64_t* out) {
+// must be a non-empty run of decimal digits no larger than `max` (ParseUint);
+// anything else (a sign, trailing characters, overflow) is a usage error.
+bool NextUint(int argc, char** argv, int* i, uint64_t* out, uint64_t max = UINT64_MAX) {
   if (*i + 1 >= argc) {
     return false;
   }
   const char* flag = argv[*i];
   const char* text = argv[++*i];
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "error: %s wants a non-negative integer, got '%s'\n", flag, text);
+  if (!ParseUint(text, out, max)) {
+    std::fprintf(stderr, "error: %s wants an integer in [0, %llu], got '%s'\n", flag,
+                 static_cast<unsigned long long>(max), text);
     return false;
   }
-  *out = value;
   return true;
 }
 
@@ -187,7 +180,7 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
         return false;
       }
     } else if (arg == "--jobs") {
-      if (!NextUint(argc, argv, &i, &options->jobs)) {
+      if (!NextUint(argc, argv, &i, &options->jobs, UINT32_MAX)) {
         return false;
       }
     } else if (arg == "--inputs") {
@@ -195,7 +188,13 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
         return false;
       }
       for (std::string_view piece : SplitNonEmpty(argv[++i], ',')) {
-        options->inputs.push_back(std::strtoll(std::string(piece).c_str(), nullptr, 10));
+        int64_t value = 0;
+        if (!ParseInt(piece, &value)) {
+          std::fprintf(stderr, "error: --inputs wants 64-bit integers, got '%.*s'\n",
+                       static_cast<int>(piece.size()), piece.data());
+          return false;
+        }
+        options->inputs.push_back(value);
       }
     } else if (arg == "--log-level") {
       if (i + 1 >= argc) {
@@ -611,7 +610,7 @@ int CmdProfDiff(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--top") {
       uint64_t top_n = 0;
-      if (!NextUint(argc, argv, &i, &top_n)) {
+      if (!NextUint(argc, argv, &i, &top_n, UINT32_MAX)) {
         return Usage();
       }
       diff_options.top_n = static_cast<uint32_t>(top_n);
@@ -697,7 +696,7 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
         return false;
       }
     } else if (arg == "--count") {
-      if (!NextUint(argc, argv, &i, &args->count)) {
+      if (!NextUint(argc, argv, &i, &args->count, UINT32_MAX)) {
         return false;
       }
     } else if (arg == "--families") {
@@ -714,7 +713,7 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
         args->families.push_back(family);
       }
     } else if (arg == "--jobs") {
-      if (!NextUint(argc, argv, &i, &args->jobs)) {
+      if (!NextUint(argc, argv, &i, &args->jobs, UINT32_MAX)) {
         return false;
       }
     } else if (arg == "--tier") {
@@ -730,11 +729,11 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
         return false;
       }
     } else if (arg == "--runs-per-iteration") {
-      if (!NextUint(argc, argv, &i, &args->runs_per_iteration)) {
+      if (!NextUint(argc, argv, &i, &args->runs_per_iteration, UINT32_MAX)) {
         return false;
       }
     } else if (arg == "--max-iterations") {
-      if (!NextUint(argc, argv, &i, &args->max_iterations)) {
+      if (!NextUint(argc, argv, &i, &args->max_iterations, UINT32_MAX)) {
         return false;
       }
     } else if (arg == "--score-json") {
@@ -864,8 +863,7 @@ int CmdCorpusRun(const CorpusCliArgs& args, bool gate) {
   CorpusScoreOptions score_options;
   score_options.jobs = static_cast<uint32_t>(args.jobs);
   if (!args.tier.empty() && !ParseExecTier(args.tier, &score_options.tier)) {
-    std::fprintf(stderr, "unknown tier '%s' (expected fast, ref, or super)\n",
-                 args.tier.c_str());
+    std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n", args.tier.c_str());
     return 2;
   }
   if (args.chaos) {
