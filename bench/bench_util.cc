@@ -21,30 +21,62 @@ FleetOptions DefaultBenchFleetOptions() {
   return options;
 }
 
-uint64_t ParseUintFlagOrExit(const char* flag, std::string_view text, uint64_t max) {
-  uint64_t value = 0;
-  if (!ParseUint(text, &value, max)) {
-    std::fprintf(stderr, "error: %s wants an integer in [0, %llu], got '%.*s'\n", flag,
-                 static_cast<unsigned long long>(max), static_cast<int>(text.size()),
-                 text.data());
-    std::exit(2);
-  }
-  return value;
+namespace {
+
+[[noreturn]] void UsageExit(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
 }
 
-uint32_t ParseJobsFlag(int argc, char** argv) {
+}  // namespace
+
+void ParseBenchFlags(int argc, char** argv, std::initializer_list<BenchFlag> flags,
+                     TelemetryExportOptions* telemetry) {
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      return static_cast<uint32_t>(ParseUintFlagOrExit("--jobs", argv[i + 1], UINT32_MAX));
+    if (telemetry != nullptr) {
+      switch (ParseTelemetryExportFlag(argc, argv, &i, telemetry)) {
+        case TelemetryFlagParse::kConsumed:
+          continue;
+        case TelemetryFlagParse::kMissingValue:
+          UsageExit(std::string(argv[i]) + " needs a value");
+        case TelemetryFlagParse::kNotTelemetry:
+          break;
+      }
     }
-    constexpr std::string_view kPrefix = "--jobs=";
-    if (arg.substr(0, kPrefix.size()) == kPrefix) {
-      return static_cast<uint32_t>(
-          ParseUintFlagOrExit("--jobs", arg.substr(kPrefix.size()), UINT32_MAX));
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const BenchFlag* flag = std::find_if(flags.begin(), flags.end(),
+                                         [&name](const BenchFlag& f) { return f.name == name; });
+    if (flag == flags.end()) {
+      UsageExit("unknown flag '" + arg + "'");
+    }
+    if (flag->on != nullptr) {
+      if (eq != std::string::npos) {
+        UsageExit(name + " takes no value");
+      }
+      *flag->on = true;
+      continue;
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (flag->bare != nullptr) {
+      value = flag->bare;
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      UsageExit(name + " needs a value");
+    }
+    if (flag->number != nullptr) {
+      if (!ParseUint(value, flag->number, flag->max)) {
+        UsageExit(StrFormat("%s wants an integer in [0, %llu], got '%s'", name.c_str(),
+                            static_cast<unsigned long long>(flag->max), value.c_str()));
+      }
+    } else {
+      *flag->text = value;
     }
   }
-  return 1;
 }
 
 std::string FormatMinSec(double seconds) {
@@ -149,8 +181,11 @@ BreakdownResult MeasureBreakdown(const std::string& name, const FleetOptions& op
     for (RunTrace& trace : stripped) {
       trace.watch_events.clear();
     }
-    Result<FailureSketch> sketch =
-        BuildFailureSketch(module, outcome.final_plan.window, stripped);
+    const BatchSummary batch = SummarizeAll(module, stripped, options.gist.beta);
+    SketchOptions sketch_options;
+    sketch_options.quarantined = batch.undecodable;
+    Result<FailureSketch> sketch = BuildFailureSketch(
+        outcome.final_plan.window, batch.failing, batch.behavior, batch.summaries, sketch_options);
     if (sketch.ok()) {
       breakdown.with_control_flow = MeasureAccuracy(module, *sketch, ideal).overall;
     } else {
@@ -177,20 +212,6 @@ bool UpdateBenchJson(const std::string& path, const std::map<std::string, double
     merged[key] = value;
   }
   return WriteFlatJson(path, merged);
-}
-
-std::string ParseEmitJsonFlag(int argc, char** argv, const std::string& default_path) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--emit-json") {
-      return default_path;
-    }
-    constexpr std::string_view kPrefix = "--emit-json=";
-    if (arg.substr(0, kPrefix.size()) == kPrefix) {
-      return std::string(arg.substr(kPrefix.size()));
-    }
-  }
-  return std::string();
 }
 
 }  // namespace gist

@@ -6,6 +6,7 @@
 #ifndef GIST_BENCH_BENCH_UTIL_H_
 #define GIST_BENCH_BENCH_UTIL_H_
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "src/apps/app.h"
+#include "src/apps/app_util.h"
 #include "src/coop/fleet.h"
 #include "src/obs/flight_recorder.h"
 
@@ -37,16 +39,30 @@ struct AppFleetOutcome {
 // are comparable between tables).
 FleetOptions DefaultBenchFleetOptions();
 
-// Parses the value of numeric flag `flag` with the CLI's strict rule
-// (ParseUint in src/support/str.h: digits only, at most `max`). Anything
-// else prints a usage error and exits with status 2.
-uint64_t ParseUintFlagOrExit(const char* flag, std::string_view text, uint64_t max);
+// One flag a bench binary accepts, bound to the variable it sets:
+//   - `number`: takes a value, `--name V` or `--name=V`, parsed with the
+//     CLI's strict rule (ParseUint in src/support/str.h: digits only, at
+//     most `max`);
+//   - `text`: takes a string value the same way; with `bare` set the value
+//     is optional, only `--name=V` supplies it, and `--name` alone stores
+//     `bare`;
+//   - `on`: a switch that takes no value.
+struct BenchFlag {
+  std::string_view name;
+  uint64_t* number = nullptr;
+  uint64_t max = UINT64_MAX;
+  std::string* text = nullptr;
+  const char* bare = nullptr;
+  bool* on = nullptr;
+};
 
-// Parses `--jobs N` / `--jobs=N` from the bench command line (0 = all
-// hardware threads). Returns 1 — fully sequential, the historical behavior —
-// when the flag is absent; exits with status 2 on a malformed value. Results
-// are identical for every value; only wall-clock changes.
-uint32_t ParseJobsFlag(int argc, char** argv);
+// Parses argv against `flags`, plus the shared telemetry export flags
+// (src/apps/app_util.h) when `telemetry` is set. Follows the CLI's rule: an
+// unknown flag, a stray argument, a missing value or a malformed number
+// prints a message and exits with status 2. Flags left out keep their
+// variables' values.
+void ParseBenchFlags(int argc, char** argv, std::initializer_list<BenchFlag> flags,
+                     TelemetryExportOptions* telemetry = nullptr);
 
 // Runs `name`'s bug through the full loop and measures everything. The
 // root-cause check is the app's own ground truth.
@@ -85,10 +101,6 @@ std::string FormatMinSec(double seconds);
 // or malformed file counts as empty) and rewrites it with WriteFlatJson.
 // Returns false when the file cannot be written.
 bool UpdateBenchJson(const std::string& path, const std::map<std::string, double>& values);
-
-// Parses `--emit-json` / `--emit-json=PATH`. Returns the empty string when
-// the flag is absent, `default_path` for the bare form.
-std::string ParseEmitJsonFlag(int argc, char** argv, const std::string& default_path);
 
 }  // namespace gist
 

@@ -31,30 +31,21 @@ namespace {
 int Main(int argc, char** argv) {
   CorpusOptions gen;
   gen.seed = 2015;
-  gen.count = 98;
-  CorpusScoreOptions score_options;
-  score_options.jobs = ParseJobsFlag(argc, argv);
-  TelemetryExportOptions exports;
+  uint64_t count = 98;
+  uint64_t jobs = 1;
   bool chaos = false;
-  for (int i = 1; i < argc; ++i) {
-    switch (ParseTelemetryExportFlag(argc, argv, &i, &exports)) {
-      case TelemetryFlagParse::kConsumed:
-        continue;
-      case TelemetryFlagParse::kMissingValue:
-        std::fprintf(stderr, "error: %s needs a path\n", argv[i]);
-        return 2;
-      case TelemetryFlagParse::kNotTelemetry:
-        break;
-    }
-    const std::string arg = argv[i];
-    if (arg == "--count" && i + 1 < argc) {
-      gen.count = static_cast<uint32_t>(ParseUintFlagOrExit("--count", argv[++i], UINT32_MAX));
-    } else if (arg == "--seed" && i + 1 < argc) {
-      gen.seed = ParseUintFlagOrExit("--seed", argv[++i], UINT64_MAX);
-    } else if (arg == "--chaos") {
-      chaos = true;
-    }
-  }
+  std::string emit;
+  TelemetryExportOptions exports;
+  ParseBenchFlags(argc, argv,
+                  {{.name = "--count", .number = &count, .max = UINT32_MAX},
+                   {.name = "--seed", .number = &gen.seed},
+                   {.name = "--jobs", .number = &jobs, .max = UINT32_MAX},
+                   {.name = "--chaos", .on = &chaos},
+                   {.name = "--emit-json", .text = &emit, .bare = "BENCH_corpus.json"}},
+                  &exports);
+  gen.count = static_cast<uint32_t>(count);
+  CorpusScoreOptions score_options;
+  score_options.jobs = static_cast<uint32_t>(jobs);
   if (chaos) {
     score_options.faults = CorpusChaosFaults();
   }
@@ -78,7 +69,6 @@ int Main(int argc, char** argv) {
   std::printf("buckets: >=90: %u   75-90: %u   50-75: %u   <50: %u\n", score.bucket_a90,
               score.bucket_a75, score.bucket_a50, score.bucket_low);
 
-  const std::string emit = ParseEmitJsonFlag(argc, argv, "BENCH_corpus.json");
   if (!emit.empty()) {
     GIST_CHECK(UpdateBenchJson(emit, metrics)) << "cannot write " << emit;
     std::printf("merged %zu metrics into %s\n", metrics.size(), emit.c_str());

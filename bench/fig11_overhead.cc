@@ -137,7 +137,9 @@ std::vector<OverheadSample> RunSweep(ThreadPool& pool, double* seconds) {
 
 int Main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  uint32_t jobs = ParseJobsFlag(argc, argv);
+  uint64_t jobs_flag = 1;
+  ParseBenchFlags(argc, argv, {{.name = "--jobs", .number = &jobs_flag, .max = UINT32_MAX}});
+  uint32_t jobs = static_cast<uint32_t>(jobs_flag);
   if (jobs == 0) {
     jobs = ThreadPool::HardwareThreads();
   }

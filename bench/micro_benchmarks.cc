@@ -337,30 +337,15 @@ InvariantCounters MeasureInvariantCounters() {
   return counters;
 }
 
-std::string ParsePerfSmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    constexpr std::string_view kPrefix = "--perf-smoke=";
-    if (arg.substr(0, kPrefix.size()) == kPrefix) {
-      return std::string(arg.substr(kPrefix.size()));
-    }
-  }
-  return std::string();
-}
-
-bool ParsePerfSmokeStrictFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--perf-smoke-strict") {
-      return true;
-    }
-  }
-  return false;
-}
-
 int Main(int argc, char** argv) {
-  const std::string emit_path = ParseEmitJsonFlag(argc, argv, "BENCH_interp.json");
-  const std::string smoke_path = ParsePerfSmokeFlag(argc, argv);
-  const bool smoke_strict = ParsePerfSmokeStrictFlag(argc, argv);
+  benchmark::Initialize(&argc, argv);  // consumes the --benchmark_* flags
+  std::string emit_path;
+  std::string smoke_path;
+  bool smoke_strict = false;
+  ParseBenchFlags(argc, argv,
+                  {{.name = "--emit-json", .text = &emit_path, .bare = "BENCH_interp.json"},
+                   {.name = "--perf-smoke", .text = &smoke_path},
+                   {.name = "--perf-smoke-strict", .on = &smoke_strict}});
 
   if (!emit_path.empty()) {
     const double steps_per_sec = MeasureVmStepsPerSecond();
@@ -508,10 +493,6 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -39,7 +39,12 @@ std::vector<AppFleetOutcome> RunAllFleets(uint32_t jobs, double* seconds) {
 
 int Main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  uint32_t jobs = ParseJobsFlag(argc, argv);
+  uint64_t jobs_flag = 1;
+  std::string emit_path;
+  ParseBenchFlags(argc, argv,
+                  {{.name = "--jobs", .number = &jobs_flag, .max = UINT32_MAX},
+                   {.name = "--emit-json", .text = &emit_path, .bare = "BENCH_interp.json"}});
+  uint32_t jobs = static_cast<uint32_t>(jobs_flag);
   if (jobs == 0) {
     jobs = ThreadPool::HardwareThreads();
   }
@@ -88,7 +93,6 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(total_runs));
   std::printf("Fleet sweep wall-clock: %.2fs with --jobs=%u.\n", elapsed, jobs);
 
-  const std::string emit_path = ParseEmitJsonFlag(argc, argv, "BENCH_interp.json");
   if (!emit_path.empty()) {
     UpdateBenchJson(emit_path, {{"fleet_table1_wall_seconds", elapsed},
                                 {"fleet_table1_jobs", static_cast<double>(jobs)}});

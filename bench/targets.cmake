@@ -30,3 +30,12 @@ gist_add_bench(ablations)
 # the shared bench link set.
 gist_add_bench(corpus_sweep)
 target_link_libraries(corpus_sweep PRIVATE gist_corpus)
+
+# Bench flags follow the CLI's rule: an unknown flag or a missing value is a
+# usage error that names the flag, never a silent run of the defaults.
+add_test(NAME bench_unknown_flag COMMAND corpus_sweep --count 1 --jbos 4)
+set_tests_properties(bench_unknown_flag PROPERTIES LABELS unit
+                     PASS_REGULAR_EXPRESSION "error: unknown flag '--jbos'")
+add_test(NAME bench_flag_missing_value COMMAND corpus_sweep --count 1 --seed)
+set_tests_properties(bench_flag_missing_value PROPERTIES LABELS unit
+                     PASS_REGULAR_EXPRESSION "error: --seed needs a value")

@@ -114,6 +114,23 @@ void ClientRuntime::AfterInstr(ThreadId /*tid*/, InstrId instr, const std::vecto
   }
 }
 
+RunObsSample ClientRuntime::Sample() const {
+  RunObsSample obs;
+  obs.traced_branches = tracer_.traced_branches();
+  obs.watch_denied_arms = watchpoints_.denied_arms();
+  obs.watch_peak_active = watchpoints_.peak_active();
+  obs.unarmed_accesses = unarmed_.size();
+  // Profiler attribution (DESIGN.md §10). The runtime is the run's single
+  // attached observer; its declared mask stands in for the dispatch cost of
+  // the whole observer set.
+  obs.observer_masks.push_back(SubscribedEvents());
+  obs.watch_slot_arms = watchpoints_.slot_arms();
+  obs.watch_slot_traps = watchpoints_.slot_traps();
+  obs.watch_traps_by_instr.assign(watchpoints_.traps_by_instr().begin(),
+                                  watchpoints_.traps_by_instr().end());
+  return obs;
+}
+
 RunTrace ClientRuntime::TakeTrace(uint64_t run_id, const RunResult& result) {
   tracer_.FlushAllPending();  // drain partial TNT packets (crash-ended runs)
   RunTrace trace;

@@ -9,7 +9,10 @@
 #ifndef GIST_SRC_CORE_CLIENT_RUNTIME_H_
 #define GIST_SRC_CORE_CLIENT_RUNTIME_H_
 
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/core/instrumentation.h"
 #include "src/core/plan_snapshot.h"
@@ -19,6 +22,24 @@
 #include "src/vm/vm.h"
 
 namespace gist {
+
+// Client-side observability sample of one monitored run (ClientRuntime::
+// Sample, DESIGN.md §9). Deliberately NOT part of RunTrace: the wire format a
+// client ships is unchanged; these numbers travel the coordinator-local side
+// channel only.
+struct RunObsSample {
+  uint64_t traced_branches = 0;   // branch outcomes the PT encoder compressed
+  uint64_t watch_denied_arms = 0; // arm requests denied (all slots busy)
+  uint32_t watch_peak_active = 0; // most debug registers simultaneously armed
+  uint64_t unarmed_accesses = 0;  // tracked accesses left to fleet rotation
+  // Profiler attribution (DESIGN.md §10): the declared SubscribedEvents()
+  // mask of each attached observer, per-debug-register contention, and trap
+  // counts per trapping instruction.
+  std::vector<uint32_t> observer_masks;
+  std::vector<uint64_t> watch_slot_arms;
+  std::vector<uint64_t> watch_slot_traps;
+  std::vector<std::pair<InstrId, uint64_t>> watch_traps_by_instr;
+};
 
 class ClientRuntime : public ExecutionObserver, public InstrumentationHook {
  public:
@@ -73,6 +94,9 @@ class ClientRuntime : public ExecutionObserver, public InstrumentationHook {
   }
   void BeforeInstr(ThreadId tid, InstrId instr, const std::vector<Word>& regs) override;
   void AfterInstr(ThreadId tid, InstrId instr, const std::vector<Word>& regs) override;
+
+  // The run's observability sample; call after the VM run completes.
+  RunObsSample Sample() const;
 
   const PtTracer& tracer() const { return tracer_; }
   const WatchpointUnit& watchpoints() const { return watchpoints_; }

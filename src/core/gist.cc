@@ -50,6 +50,7 @@ void GistServer::ReportFailure(const FailureReport& report) {
   behavior_.Reset();
   discovered_.clear();
   failure_recurrences_ = 0;
+  quarantined_traces_ = 0;
   metrics_.Add("server.failures_reported");
   metrics_.Set("ast.slice_statements", static_cast<int64_t>(slice_.size()));
   Replan();
@@ -146,15 +147,30 @@ PlanSnapshot GistServer::Snapshot() const {
 Result<FailureSketch> GistServer::BuildSketch() const {
   GIST_CHECK(has_target_);
   SketchOptions sketch_options;
-  sketch_options.beta = options_.beta;
   sketch_options.title = options_.title;
   sketch_options.discovered = &discovered_;
   sketch_options.quarantined = quarantined_traces_;
-  sketch_options.behavior = &behavior_;
-  sketch_options.summaries = &failure_summaries_;
-  sketch_options.shadow_check = stats_shadow_;
-  Result<FailureSketch> sketch =
-      BuildFailureSketch(module_, plan_.window, traces_, sketch_options);
+  Result<FailureSketch> sketch = BuildFailureSketch(plan_.window, traces_, behavior_,
+                                                    failure_summaries_, sketch_options);
+  if (stats_shadow_) {
+    // Shadow mode (DESIGN.md §14): recompute the streaming state from the
+    // stored traces' raw PT and require the same aggregation, the same
+    // summaries, and — built from that batch state — the same sketch, which
+    // implies the same reference run.
+    BatchSummary batch = SummarizeAll(module_, traces_, options_.beta);
+    GIST_CHECK(batch.behavior.Fingerprint() == behavior_.Fingerprint())
+        << "shadow mode: incremental BehaviorStats diverged from batch recompute\n--- batch:\n"
+        << batch.behavior.Fingerprint() << "--- incremental:\n"
+        << behavior_.Fingerprint();
+    GIST_CHECK(batch.summaries == failure_summaries_)
+        << "shadow mode: stored trace summaries diverged from a fresh decode";
+    sketch_options.quarantined += batch.undecodable;
+    Result<FailureSketch> rebuilt = BuildFailureSketch(plan_.window, batch.failing,
+                                                       batch.behavior, batch.summaries,
+                                                       sketch_options);
+    GIST_CHECK(sketch.ok() == rebuilt.ok() && (!sketch.ok() || *sketch == *rebuilt))
+        << "shadow mode: sketch from stored summaries diverged from the batch rebuild";
+  }
   metrics_.Add("stats.sketch_builds");
   if (sketch.ok()) {
     metrics_.Add("stats.predictor_evaluations",
@@ -188,128 +204,13 @@ void GistServer::AdvanceAst() {
 
 namespace {
 
-RunObsSample SampleObs(const ClientRuntime& runtime) {
-  RunObsSample obs;
-  obs.traced_branches = runtime.tracer().traced_branches();
-  obs.watch_denied_arms = runtime.watchpoints().denied_arms();
-  obs.watch_peak_active = runtime.watchpoints().peak_active();
-  obs.unarmed_accesses = runtime.unarmed_accesses().size();
-  // Profiler attribution (DESIGN.md §10). The runtime is the run's single
-  // attached observer; its declared mask stands in for the dispatch cost of
-  // the whole observer set.
-  obs.observer_masks.push_back(runtime.SubscribedEvents());
-  obs.watch_slot_arms = runtime.watchpoints().slot_arms();
-  obs.watch_slot_traps = runtime.watchpoints().slot_traps();
-  obs.watch_traps_by_instr.assign(runtime.watchpoints().traps_by_instr().begin(),
-                                  runtime.watchpoints().traps_by_instr().end());
-  return obs;
-}
-
-}  // namespace
-
-RunMetricsPublisher::RunMetricsPublisher(MetricsRegistry* metrics)
-    : metrics_(metrics),
-      vm_retired_(metrics->CounterSlot("vm.instructions_retired")),
-      vm_mem_accesses_(metrics->CounterSlot("vm.mem_accesses")),
-      vm_branches_(metrics->CounterSlot("vm.branches")),
-      vm_context_switches_(metrics->CounterSlot("vm.context_switches")),
-      vm_threads_created_(metrics->CounterSlot("vm.threads_created")),
-      vm_block_enters_(metrics->CounterSlot("vm.block_enters")),
-      vm_returns_(metrics->CounterSlot("vm.returns")),
-      vm_thread_events_(metrics->CounterSlot("vm.thread_events")),
-      vm_run_steps_(metrics->HistogramSlot("vm.run_steps")),
-      engine_bursts_(metrics->CounterSlot("engine.bursts")),
-      engine_batch_deliveries_(metrics->CounterSlot("engine.batch_deliveries")),
-      engine_flushed_retired_(metrics->CounterSlot("engine.flushed_retired_events")),
-      engine_flushed_mem_(metrics->CounterSlot("engine.flushed_mem_events")),
-      engine_dispatched_(metrics->CounterSlot("engine.dispatched_events")),
-      engine_flush_size_(metrics->HistogramSlot("engine.flush_size")),
-      monitored_runs_(metrics->CounterSlot("vm.monitored_runs")),
-      pt_bytes_(metrics->CounterSlot("pt.encode.bytes")),
-      pt_toggles_(metrics->CounterSlot("pt.encode.toggles")),
-      pt_traced_branches_(metrics->CounterSlot("pt.encode.traced_branches")),
-      watch_traps_(metrics->CounterSlot("hw.watch.traps")),
-      watch_arms_(metrics->CounterSlot("hw.watch.arms")),
-      watch_denied_arms_(metrics->CounterSlot("hw.watch.denied_arms")),
-      watch_unarmed_accesses_(metrics->CounterSlot("hw.watch.unarmed_accesses")),
-      watch_peak_active_(metrics->GaugeSlot("hw.watch.peak_active")) {}
-
-void RunMetricsPublisher::PublishVm(const RunStats& stats) {
-  *vm_retired_ += stats.steps;
-  *vm_mem_accesses_ += stats.mem_accesses;
-  *vm_branches_ += stats.branches;
-  *vm_context_switches_ += stats.context_switches;
-  *vm_threads_created_ += stats.threads_created;
-  *vm_block_enters_ += stats.block_enters;
-  *vm_returns_ += stats.returns;
-  *vm_thread_events_ += stats.thread_events;
-  vm_run_steps_->Observe(stats.steps);
-  *engine_bursts_ += stats.bursts;
-  *engine_batch_deliveries_ += stats.batch_deliveries;
-  *engine_flushed_retired_ += stats.flushed_retired_events;
-  *engine_flushed_mem_ += stats.flushed_mem_events;
-  *engine_dispatched_ += stats.dispatched_events;
-  // Same fold as MetricsRegistry::MergeBuckets, straight into the slot.
-  metrics_->MergeBuckets("engine.flush_size", stats.flush_size_log2,
-                         RunStats::kFlushSizeBuckets, stats.batch_deliveries,
-                         stats.flushed_retired_events + stats.flushed_mem_events);
-}
-
-void RunMetricsPublisher::Publish(const MonitoredRun& run) {
-  PublishVm(run.result.stats);
-  ++*monitored_runs_;
-  *pt_bytes_ += run.trace.activity.pt_bytes;
-  *pt_toggles_ += run.trace.activity.pt_toggles;
-  *pt_traced_branches_ += run.obs.traced_branches;
-  *watch_traps_ += run.trace.activity.watch_traps;
-  *watch_arms_ += run.trace.activity.watch_arms;
-  *watch_denied_arms_ += run.obs.watch_denied_arms;
-  *watch_unarmed_accesses_ += run.obs.unarmed_accesses;
-  // SetMax semantics: the gauge only moves up.
-  if (static_cast<int64_t>(run.obs.watch_peak_active) > *watch_peak_active_) {
-    *watch_peak_active_ = static_cast<int64_t>(run.obs.watch_peak_active);
-  }
-}
-
-void PublishVmStats(const RunStats& stats, MetricsRegistry* metrics) {
-  RunMetricsPublisher(metrics).PublishVm(stats);
-}
-
-void PublishRunMetrics(const MonitoredRun& run, MetricsRegistry* metrics) {
-  RunMetricsPublisher(metrics).Publish(run);
-}
-
-ProfiledRunSample MakeProfiledSample(const RunStats& stats) {
-  ProfiledRunSample sample;
-  sample.retired = stats.steps;
-  sample.mem_accesses = stats.mem_accesses;
-  sample.branches = stats.branches;
-  sample.context_switches = stats.context_switches;
-  sample.block_enters = stats.block_enters;
-  sample.returns = stats.returns;
-  sample.thread_events = stats.thread_events;
-  return sample;
-}
-
-ProfiledRunSample MakeProfiledSample(const MonitoredRun& run) {
-  ProfiledRunSample sample = MakeProfiledSample(run.result.stats);
-  sample.observer_masks = run.obs.observer_masks;
-  sample.watch_denied_arms = run.obs.watch_denied_arms;
-  sample.watch_slot_arms = run.obs.watch_slot_arms;
-  sample.watch_slot_traps = run.obs.watch_slot_traps;
-  sample.watch_traps_by_instr = run.obs.watch_traps_by_instr;
-  return sample;
-}
-
-MonitoredRun RunMonitored(const Module& module, const InstrumentationPlan& plan,
-                          const Workload& workload, const GistOptions& options, uint64_t run_id,
-                          uint64_t max_steps) {
-  ClientRuntime runtime(module, plan, options.num_cores, options.pt_buffer_bytes,
-                        options.watchpoint_slots);
+// Executes `workload` with `runtime` attached as the run's observer and
+// instrumentation hook, then packages the outcome, the trace to ship and the
+// runtime's observability sample.
+MonitoredRun Execute(const Module& module, const Workload& workload, ClientRuntime& runtime,
+                     VmOptions vm_options, const GistOptions& options, uint64_t run_id) {
   MonitoredRun run;
-  VmOptions vm_options;
   vm_options.num_cores = options.num_cores;
-  vm_options.max_steps = max_steps;
   vm_options.observers = {&runtime};
   vm_options.hook = &runtime;
   if (options.collect_profile) {
@@ -318,8 +219,20 @@ MonitoredRun RunMonitored(const Module& module, const InstrumentationPlan& plan,
   Vm vm(module, workload, vm_options);
   run.result = vm.Run();
   run.trace = runtime.TakeTrace(run_id, run.result);
-  run.obs = SampleObs(runtime);
+  run.obs = runtime.Sample();
   return run;
+}
+
+}  // namespace
+
+MonitoredRun RunMonitored(const Module& module, const InstrumentationPlan& plan,
+                          const Workload& workload, const GistOptions& options, uint64_t run_id,
+                          uint64_t max_steps) {
+  ClientRuntime runtime(module, plan, options.num_cores, options.pt_buffer_bytes,
+                        options.watchpoint_slots);
+  VmOptions vm_options;
+  vm_options.max_steps = max_steps;
+  return Execute(module, workload, runtime, vm_options, options, run_id);
 }
 
 MonitoredRun RunMonitored(const Module& module, const PlanSnapshot& snapshot,
@@ -328,26 +241,15 @@ MonitoredRun RunMonitored(const Module& module, const PlanSnapshot& snapshot,
                           const RunDegradation& degradation) {
   ClientRuntime runtime(module, snapshot, client_index, options.num_cores,
                         options.pt_buffer_bytes, degradation.watchpoint_slots);
-  MonitoredRun run;
   VmOptions vm_options;
-  vm_options.num_cores = options.num_cores;
   vm_options.max_steps = max_steps;
   vm_options.kill_after_steps = degradation.kill_after_steps;
-  vm_options.observers = {&runtime};
-  vm_options.hook = &runtime;
   vm_options.decoded = snapshot.decoded().get();  // shared fleet-wide cache
   GIST_CHECK(options.tier != ExecTier::kSuper) << "ExecTier::kSuper is retired";
   if (options.tier == ExecTier::kReference) {
     vm_options.reference_dispatch = true;  // the always-dispatch oracle
   }
-  if (options.collect_profile) {
-    vm_options.profile = &run.profile;
-  }
-  Vm vm(module, workload, vm_options);
-  run.result = vm.Run();
-  run.trace = runtime.TakeTrace(run_id, run.result);
-  run.obs = SampleObs(runtime);
-  return run;
+  return Execute(module, workload, runtime, vm_options, options, run_id);
 }
 
 }  // namespace gist

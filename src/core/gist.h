@@ -27,8 +27,7 @@
 #include "src/core/plan_snapshot.h"
 #include "src/core/renderer.h"
 #include "src/core/sketch.h"
-#include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
+#include "src/support/metrics.h"
 #include "src/vm/vm.h"
 
 namespace gist {
@@ -53,9 +52,11 @@ struct GistOptions {
   // choice never changes any run result or export byte.
   ExecTier tier = ExecTier::kFast;
   // Shadow mode for the streaming statistics (DESIGN.md §14): every sketch
-  // build additionally runs the batch recompute over the stored traces and
-  // CHECK-fails unless it fingerprints byte-identically to the incremental
-  // aggregation. OR-ed with the GIST_STATS_SHADOW=1 environment variable.
+  // build additionally runs SummarizeAll over the stored traces and
+  // CHECK-fails unless its statistics fingerprint byte-identically to the
+  // incremental aggregation, its summaries equal the stored ones, and the
+  // sketch built from it equals the served one. OR-ed with the
+  // GIST_STATS_SHADOW=1 environment variable.
   bool stats_shadow = false;
 };
 
@@ -96,9 +97,11 @@ class GistServer {
     GIST_CHECK(has_target_);
     return plan_;
   }
-  // Counts replans since the target was reported: any refinement discovery or
-  // AsT advance bumps it. Snapshots carry the version they froze, so a
-  // coordinator can tell whether refinement outpaced in-flight runs.
+  // Counts replans: any report, refinement discovery or AsT advance bumps
+  // it. Snapshots carry the version they froze, so a coordinator can tell
+  // whether refinement outpaced in-flight runs. It never restarts — not even
+  // when a new target is reported — so a snapshot of an earlier target can
+  // never pass for current.
   uint64_t plan_version() const {
     GIST_CHECK(has_target_);
     return plan_version_;
@@ -188,8 +191,8 @@ class GistServer {
   // refinement has added to the slice.
   void Replan();
 
-  // Ingest-path metric slots, resolved once per server (the PR 6 discipline
-  // RunMetricsPublisher established): AddTrace runs once per upload on 10^3+
+  // Ingest-path metric slots, resolved once per server (as the flight
+  // recorder's RunMetricsPublisher does): AddTrace runs once per upload on 10^3+
   // run fleets, and looking the names up per trace re-walked the sorted
   // registry map — with a heap-allocated "pt.decode.errors." + key string
   // per faulty stream on the error path.
@@ -228,23 +231,6 @@ class GistServer {
   IngestSlots ingest_;  // after metrics_: slots resolve into it
 };
 
-// Client-side observability sample for one monitored run (DESIGN.md §9).
-// Deliberately NOT part of RunTrace: the wire format a client ships is
-// unchanged; these numbers travel the coordinator-local side channel only.
-struct RunObsSample {
-  uint64_t traced_branches = 0;   // branch outcomes the PT encoder compressed
-  uint64_t watch_denied_arms = 0; // arm requests denied (all slots busy)
-  uint32_t watch_peak_active = 0; // most debug registers simultaneously armed
-  uint64_t unarmed_accesses = 0;  // tracked accesses left to fleet rotation
-  // Profiler attribution (DESIGN.md §10): the declared SubscribedEvents()
-  // mask of each attached observer, per-debug-register contention, and trap
-  // counts per trapping instruction.
-  std::vector<uint32_t> observer_masks;
-  std::vector<uint64_t> watch_slot_arms;
-  std::vector<uint64_t> watch_slot_traps;
-  std::vector<std::pair<InstrId, uint64_t>> watch_traps_by_instr;
-};
-
 // One monitored production run: executes `workload` under the plan's
 // instrumentation and returns the outcome plus the trace to ship.
 struct MonitoredRun {
@@ -254,63 +240,6 @@ struct MonitoredRun {
   // Per-run profile shard; populated only when GistOptions::collect_profile.
   BlockProfile profile;
 };
-
-// Publishes per-run metrics into one registry. The publisher resolves every
-// metric name to its storage slot once at construction (the registry's maps
-// are node-based, so the slots stay valid) — the fleet coordinator publishes
-// one run at a time for 10^3+ runs per diagnosis, and re-walking the sorted
-// map for ~20 names per run was the hottest coordinator-side cost.
-class RunMetricsPublisher {
- public:
-  explicit RunMetricsPublisher(MetricsRegistry* metrics);
-
-  // Mode-independent VM counters ("vm.") + dispatch-engine telemetry
-  // ("engine.") of one run.
-  void PublishVm(const RunStats& stats);
-  // Everything a consumed monitored run contributes: PublishVm plus
-  // PT-encode ("pt.encode.") and watchpoint ("hw.watch.") activity.
-  void Publish(const MonitoredRun& run);
-
- private:
-  MetricsRegistry* metrics_;
-  // "vm." / "engine." slots.
-  uint64_t* vm_retired_;
-  uint64_t* vm_mem_accesses_;
-  uint64_t* vm_branches_;
-  uint64_t* vm_context_switches_;
-  uint64_t* vm_threads_created_;
-  uint64_t* vm_block_enters_;
-  uint64_t* vm_returns_;
-  uint64_t* vm_thread_events_;
-  Histogram* vm_run_steps_;
-  uint64_t* engine_bursts_;
-  uint64_t* engine_batch_deliveries_;
-  uint64_t* engine_flushed_retired_;
-  uint64_t* engine_flushed_mem_;
-  uint64_t* engine_dispatched_;
-  Histogram* engine_flush_size_;
-  // Monitored-run slots.
-  uint64_t* monitored_runs_;
-  uint64_t* pt_bytes_;
-  uint64_t* pt_toggles_;
-  uint64_t* pt_traced_branches_;
-  uint64_t* watch_traps_;
-  uint64_t* watch_arms_;
-  uint64_t* watch_denied_arms_;
-  uint64_t* watch_unarmed_accesses_;
-  int64_t* watch_peak_active_;
-};
-
-// One-shot wrappers over RunMetricsPublisher, for callers that publish a
-// single run (tests, ad-hoc tools). Hot loops construct the publisher once.
-void PublishVmStats(const RunStats& stats, MetricsRegistry* metrics);
-void PublishRunMetrics(const MonitoredRun& run, MetricsRegistry* metrics);
-
-// Builds the profiler's per-run sample (src/obs/profiler.h). The RunStats
-// flavor covers unmonitored phase-1 probes (event tallies only); the
-// MonitoredRun flavor adds the observer masks and watchpoint attribution.
-ProfiledRunSample MakeProfiledSample(const RunStats& stats);
-ProfiledRunSample MakeProfiledSample(const MonitoredRun& run);
 
 MonitoredRun RunMonitored(const Module& module, const InstrumentationPlan& plan,
                           const Workload& workload, const GistOptions& options = {},

@@ -127,80 +127,52 @@ size_t ChooseReference(const std::vector<InstrId>& window,
 
 }  // namespace
 
-Result<FailureSketch> BuildFailureSketch(const Module& module,
-                                         const std::vector<InstrId>& window,
+BatchSummary SummarizeAll(const Module& module, const std::vector<RunTrace>& traces, double beta) {
+  BatchSummary batch(beta);
+  for (const RunTrace& trace : traces) {
+    std::vector<DecodedCoreTrace> decoded;
+    bool decodable = true;
+    for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
+      PtDecodeResult one = DecodePt(module, static_cast<CoreId>(core), trace.pt_buffers[core]);
+      if (!one.ok()) {
+        decodable = false;  // quarantine it rather than abandon the sketch (DESIGN.md §8)
+        break;
+      }
+      decoded.push_back(std::move(one.trace));
+    }
+    if (!decodable) {
+      ++batch.undecodable;
+      continue;
+    }
+    batch.behavior.RecordRun(trace.run_id, ExtractPredictors(decoded, trace.watch_events),
+                             trace.failed);
+    if (trace.failed) {
+      batch.failing.push_back(trace);
+      batch.summaries.push_back(SummarizeTrace(module, decoded));
+    }
+  }
+  return batch;
+}
+
+Result<FailureSketch> BuildFailureSketch(const std::vector<InstrId>& window,
                                          const std::vector<RunTrace>& traces,
+                                         const BehaviorStats& behavior,
+                                         const std::vector<TraceSummary>& summaries,
                                          const SketchOptions& options) {
-  GIST_CHECK((options.behavior == nullptr) == (options.summaries == nullptr))
-      << "SketchOptions::behavior and ::summaries are set together";
-  // Batch path: decode every trace's PT buffers once, feed the statistics,
-  // and summarise the failing runs. With maintained streaming state the
-  // ranking is already aggregated and the failing runs already summarised,
-  // so this whole loop is skipped — except in shadow mode, where it must
-  // reproduce the incremental aggregation, the stored summaries and the
-  // reference choice exactly or the build CHECK-fails.
-  BehaviorStats batch(options.beta);
-  const bool need_batch = options.behavior == nullptr || options.shadow_check;
   std::vector<const RunTrace*> failing;
-  std::vector<TraceSummary> rebuilt;
-  uint64_t quarantined = options.quarantined;
-  if (need_batch) {
-    for (const RunTrace& trace : traces) {
-      std::vector<DecodedCoreTrace> decoded;
-      bool decodable = true;
-      for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
-        PtDecodeResult one = DecodePt(module, static_cast<CoreId>(core), trace.pt_buffers[core]);
-        if (!one.ok()) {
-          // Corrupt upload that bypassed server ingestion: quarantine it here
-          // rather than abandoning the sketch (DESIGN.md §8).
-          decodable = false;
-          break;
-        }
-        decoded.push_back(std::move(one.trace));
-      }
-      if (!decodable) {
-        ++quarantined;
-        continue;
-      }
-      batch.RecordRun(trace.run_id, ExtractPredictors(decoded, trace.watch_events), trace.failed);
-      if (trace.failed) {
-        failing.push_back(&trace);
-        rebuilt.push_back(SummarizeTrace(module, decoded));
-      }
+  for (const RunTrace& trace : traces) {
+    if (trace.failed) {
+      failing.push_back(&trace);
     }
   }
-  const std::vector<TraceSummary>* summaries = &rebuilt;
-  if (options.behavior != nullptr) {
-    std::vector<const RunTrace*> stored;
-    for (const RunTrace& trace : traces) {
-      if (trace.failed) {
-        stored.push_back(&trace);
-      }
-    }
-    GIST_CHECK_EQ(stored.size(), options.summaries->size())
-        << "one TraceSummary per failing trace";
-    if (options.shadow_check) {
-      GIST_CHECK(batch.Fingerprint() == options.behavior->Fingerprint())
-          << "shadow mode: incremental BehaviorStats diverged from batch recompute\n--- batch:\n"
-          << batch.Fingerprint() << "--- incremental:\n"
-          << options.behavior->Fingerprint();
-      GIST_CHECK(rebuilt == *options.summaries)
-          << "shadow mode: stored trace summaries diverged from a fresh decode";
-      GIST_CHECK_EQ(ChooseReference(window, failing, rebuilt),
-                    ChooseReference(window, stored, *options.summaries))
-          << "shadow mode: reference run from summaries diverged from batch choice";
-    }
-    failing = std::move(stored);
-    summaries = options.summaries;
-  }
-  const size_t chosen = ChooseReference(window, failing, *summaries);
+  GIST_CHECK_EQ(failing.size(), summaries.size()) << "one TraceSummary per failing trace";
+  const size_t chosen = ChooseReference(window, failing, summaries);
   if (chosen == failing.size()) {
     return Error("no failing run collected yet");
   }
   const RunTrace* reference = failing[chosen];
-  const TraceSummary& reference_summary = (*summaries)[chosen];
-  const PredictorStats& stats =
-      options.behavior != nullptr ? options.behavior->stats() : batch.stats();
+  const TraceSummary& reference_summary = summaries[chosen];
+  const PredictorStats& stats = behavior.stats();
 
   // --- Refinement -----------------------------------------------------------
   // (a) control flow: window statements that actually executed in the
@@ -316,7 +288,7 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   sketch.success_order = stats.BestSuccessOrderPair();
   sketch.failing_runs_used = stats.failing_runs();
   sketch.successful_runs_used = stats.successful_runs();
-  sketch.quarantined_traces = quarantined;
+  sketch.quarantined_traces = options.quarantined;
   sketch.predictors_evaluated = static_cast<uint32_t>(stats.predictor_count());
 
   std::set<InstrId> highlighted;

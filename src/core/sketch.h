@@ -43,6 +43,8 @@ struct SketchStatement {
   bool is_failure_point = false;
   bool highlighted = false;      // involved in a top failure predictor
   bool discovered_at_runtime = false;  // added by data-flow refinement
+
+  bool operator==(const SketchStatement&) const = default;
 };
 
 struct FailureSketch {
@@ -70,9 +72,9 @@ struct FailureSketch {
   // DESIGN.md §9).
   uint32_t predictors_evaluated = 0;
   // Traces excluded from this sketch because their PT streams would not
-  // decode (server-side quarantine plus any undecodable trace handed
-  // directly to BuildFailureSketch). Purely informational: the sketch is
-  // built over the surviving runs (DESIGN.md §8).
+  // decode (server-side quarantine plus any trace SummarizeAll skipped).
+  // Purely informational: the sketch is built over the surviving runs
+  // (DESIGN.md §8).
   uint64_t quarantined_traces = 0;
 
   bool Contains(InstrId id) const;
@@ -80,6 +82,8 @@ struct FailureSketch {
   // Statements in step order restricted to shared-memory accesses — the
   // sequence the ordering-accuracy metric compares (§5.2).
   std::vector<InstrId> SharedAccessOrder(const Module& module) const;
+
+  bool operator==(const FailureSketch&) const = default;
 };
 
 // What one failing run executed, as reference selection, control-flow
@@ -110,44 +114,47 @@ struct TraceSummary {
 TraceSummary SummarizeTrace(const Module& module, const std::vector<DecodedCoreTrace>& decoded);
 
 struct SketchOptions {
-  double beta = kDefaultBeta;
   std::string title;
   // Statements known to have been added to the slice by data-flow refinement
   // (GistServer::discovered_instrs); the sketch marks them '+' even after
   // they entered the tracked window.
   const std::vector<InstrId>* discovered = nullptr;
-  // Uploads the server already quarantined before `traces`; carried into
-  // FailureSketch::quarantined_traces so the sketch reports the full count.
+  // Uploads already excluded as undecodable (server-side quarantine, or
+  // BatchSummary::undecodable); carried into FailureSketch::
+  // quarantined_traces so the sketch reports the full count.
   uint64_t quarantined = 0;
-  // Streaming state maintained by the trace-ingest path (DESIGN.md §14),
-  // set together. `behavior` is the running predictor aggregation the sketch
-  // ranks from; `summaries` holds one TraceSummary per failing trace of
-  // `traces`, in order, from which it picks the reference run and lays out
-  // the sketch. With both set (and no shadow check) the build decodes no PT
-  // at all — the caller guarantees every trace in `traces` already passed
-  // ingest validation, which GistServer does. Null keeps the batch path:
-  // decode every trace, re-extract its predictors, summarise the failing
-  // ones.
-  const BehaviorStats* behavior = nullptr;
-  const std::vector<TraceSummary>* summaries = nullptr;
-  // Shadow mode: with `behavior` set, ALSO run the batch path and
-  // CHECK-fail unless both aggregations fingerprint byte-identically, every
-  // rebuilt summary equals the stored one, and both choose the same
-  // reference run. The incremental path's correctness gate; tests and
-  // GIST_STATS_SHADOW=1 turn it on.
-  bool shadow_check = false;
 };
 
 // Builds a sketch from the monitored runs. `window` is the slice portion AsT
-// currently tracks; `traces` are all collected run traces (at least one
-// failing). A trace whose PT streams fail to decode is skipped — counted in
-// FailureSketch::quarantined_traces, never fatal — so one corrupt upload
-// cannot block diagnosis. Returns an error only when no failing trace
-// survives.
-Result<FailureSketch> BuildFailureSketch(const Module& module,
-                                         const std::vector<InstrId>& window,
+// currently tracks; `traces` are the collected run traces, every one of which
+// decoded. `behavior` is the predictor aggregation over them, which the sketch
+// ranks from, and `summaries` holds one TraceSummary per failing trace of
+// `traces`, in order, from which it picks the reference run and lays out the
+// sketch. The build decodes no PT. GistServer maintains all three at ingest;
+// SummarizeAll recomputes them from raw traces. Returns an error only when
+// `traces` holds no failing run.
+Result<FailureSketch> BuildFailureSketch(const std::vector<InstrId>& window,
                                          const std::vector<RunTrace>& traces,
+                                         const BehaviorStats& behavior,
+                                         const std::vector<TraceSummary>& summaries,
                                          const SketchOptions& options = {});
+
+// BuildFailureSketch's inputs recomputed from raw traces (DESIGN.md §14): the
+// batch form of what GistServer::AddTrace maintains one upload at a time.
+struct BatchSummary {
+  explicit BatchSummary(double beta) : behavior(beta) {}
+
+  BehaviorStats behavior;               // over every trace that decodes
+  std::vector<RunTrace> failing;        // the failing traces that decode, in order
+  std::vector<TraceSummary> summaries;  // one per `failing` trace
+  // Traces skipped because a PT stream would not decode; callers add this
+  // to SketchOptions::quarantined. One corrupt trace never blocks diagnosis.
+  uint64_t undecodable = 0;
+};
+
+// Decodes every trace's PT streams, feeds the statistics and summarises the
+// failing runs.
+BatchSummary SummarizeAll(const Module& module, const std::vector<RunTrace>& traces, double beta);
 
 }  // namespace gist
 

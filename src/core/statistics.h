@@ -32,6 +32,8 @@ struct ScoredPredictor {
   double precision = 0.0;
   double recall = 0.0;
   double f_measure = 0.0;
+
+  bool operator==(const ScoredPredictor&) const = default;
 };
 
 class PredictorStats {

@@ -1,5 +1,6 @@
 #include "src/obs/flight_recorder.h"
 
+#include "src/core/gist.h"
 #include "src/support/json.h"
 #include "src/support/str.h"
 
@@ -82,6 +83,70 @@ std::string FlightRecorder::TraceJson() const {
   }
   out += "]\n}\n";
   return out;
+}
+
+RunMetricsPublisher::RunMetricsPublisher(MetricsRegistry* metrics)
+    : metrics_(metrics),
+      vm_retired_(metrics->CounterSlot("vm.instructions_retired")),
+      vm_mem_accesses_(metrics->CounterSlot("vm.mem_accesses")),
+      vm_branches_(metrics->CounterSlot("vm.branches")),
+      vm_context_switches_(metrics->CounterSlot("vm.context_switches")),
+      vm_threads_created_(metrics->CounterSlot("vm.threads_created")),
+      vm_block_enters_(metrics->CounterSlot("vm.block_enters")),
+      vm_returns_(metrics->CounterSlot("vm.returns")),
+      vm_thread_events_(metrics->CounterSlot("vm.thread_events")),
+      vm_run_steps_(metrics->HistogramSlot("vm.run_steps")),
+      engine_bursts_(metrics->CounterSlot("engine.bursts")),
+      engine_batch_deliveries_(metrics->CounterSlot("engine.batch_deliveries")),
+      engine_flushed_retired_(metrics->CounterSlot("engine.flushed_retired_events")),
+      engine_flushed_mem_(metrics->CounterSlot("engine.flushed_mem_events")),
+      engine_dispatched_(metrics->CounterSlot("engine.dispatched_events")),
+      engine_flush_size_(metrics->HistogramSlot("engine.flush_size")),
+      monitored_runs_(metrics->CounterSlot("vm.monitored_runs")),
+      pt_bytes_(metrics->CounterSlot("pt.encode.bytes")),
+      pt_toggles_(metrics->CounterSlot("pt.encode.toggles")),
+      pt_traced_branches_(metrics->CounterSlot("pt.encode.traced_branches")),
+      watch_traps_(metrics->CounterSlot("hw.watch.traps")),
+      watch_arms_(metrics->CounterSlot("hw.watch.arms")),
+      watch_denied_arms_(metrics->CounterSlot("hw.watch.denied_arms")),
+      watch_unarmed_accesses_(metrics->CounterSlot("hw.watch.unarmed_accesses")),
+      watch_peak_active_(metrics->GaugeSlot("hw.watch.peak_active")) {}
+
+void RunMetricsPublisher::PublishVm(const RunStats& stats) {
+  *vm_retired_ += stats.steps;
+  *vm_mem_accesses_ += stats.mem_accesses;
+  *vm_branches_ += stats.branches;
+  *vm_context_switches_ += stats.context_switches;
+  *vm_threads_created_ += stats.threads_created;
+  *vm_block_enters_ += stats.block_enters;
+  *vm_returns_ += stats.returns;
+  *vm_thread_events_ += stats.thread_events;
+  vm_run_steps_->Observe(stats.steps);
+  *engine_bursts_ += stats.bursts;
+  *engine_batch_deliveries_ += stats.batch_deliveries;
+  *engine_flushed_retired_ += stats.flushed_retired_events;
+  *engine_flushed_mem_ += stats.flushed_mem_events;
+  *engine_dispatched_ += stats.dispatched_events;
+  // Same fold as MetricsRegistry::MergeBuckets, straight into the slot.
+  metrics_->MergeBuckets("engine.flush_size", stats.flush_size_log2,
+                         RunStats::kFlushSizeBuckets, stats.batch_deliveries,
+                         stats.flushed_retired_events + stats.flushed_mem_events);
+}
+
+void RunMetricsPublisher::Publish(const MonitoredRun& run) {
+  PublishVm(run.result.stats);
+  ++*monitored_runs_;
+  *pt_bytes_ += run.trace.activity.pt_bytes;
+  *pt_toggles_ += run.trace.activity.pt_toggles;
+  *pt_traced_branches_ += run.obs.traced_branches;
+  *watch_traps_ += run.trace.activity.watch_traps;
+  *watch_arms_ += run.trace.activity.watch_arms;
+  *watch_denied_arms_ += run.obs.watch_denied_arms;
+  *watch_unarmed_accesses_ += run.obs.unarmed_accesses;
+  // SetMax semantics: the gauge only moves up.
+  if (static_cast<int64_t>(run.obs.watch_peak_active) > *watch_peak_active_) {
+    *watch_peak_active_ = static_cast<int64_t>(run.obs.watch_peak_active);
+  }
 }
 
 }  // namespace gist

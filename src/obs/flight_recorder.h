@@ -21,7 +21,7 @@
 //
 // Threading: the recorder is coordinator-thread only, like the GistServer.
 // Workers never touch it — per-run samples travel back in MonitoredRun and
-// are merged in run-index order.
+// are merged in run-index order through a RunMetricsPublisher.
 
 #ifndef GIST_SRC_OBS_FLIGHT_RECORDER_H_
 #define GIST_SRC_OBS_FLIGHT_RECORDER_H_
@@ -31,9 +31,12 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/metrics.h"
+#include "src/support/metrics.h"
 
 namespace gist {
+
+struct MonitoredRun;
+struct RunStats;
 
 // One trace event. Args values are raw JSON fragments (use NumArg/StrArg),
 // so spans can carry numbers and strings without a JSON AST.
@@ -93,6 +96,52 @@ class FlightRecorder {
   std::vector<TraceSpan> spans_;
   uint64_t clock_ = 0;
   std::map<std::string, double, std::less<>> annotations_;
+};
+
+// Publishes per-run metrics into one registry. The publisher resolves every
+// metric name to its storage slot once at construction (the registry's maps
+// are node-based, so the slots stay valid) — the fleet coordinator publishes
+// one run at a time for 10^3+ runs per diagnosis, and re-walking the sorted
+// map for ~20 names per run was the hottest coordinator-side cost.
+class RunMetricsPublisher {
+ public:
+  explicit RunMetricsPublisher(MetricsRegistry* metrics);
+
+  // Mode-independent VM counters ("vm.") + dispatch-engine telemetry
+  // ("engine.") of one run.
+  void PublishVm(const RunStats& stats);
+  // Everything a consumed monitored run contributes: PublishVm plus
+  // PT-encode ("pt.encode.") and watchpoint ("hw.watch.") activity.
+  void Publish(const MonitoredRun& run);
+
+ private:
+  MetricsRegistry* metrics_;
+  // "vm." / "engine." slots.
+  uint64_t* vm_retired_;
+  uint64_t* vm_mem_accesses_;
+  uint64_t* vm_branches_;
+  uint64_t* vm_context_switches_;
+  uint64_t* vm_threads_created_;
+  uint64_t* vm_block_enters_;
+  uint64_t* vm_returns_;
+  uint64_t* vm_thread_events_;
+  Histogram* vm_run_steps_;
+  uint64_t* engine_bursts_;
+  uint64_t* engine_batch_deliveries_;
+  uint64_t* engine_flushed_retired_;
+  uint64_t* engine_flushed_mem_;
+  uint64_t* engine_dispatched_;
+  Histogram* engine_flush_size_;
+  // Monitored-run slots.
+  uint64_t* monitored_runs_;
+  uint64_t* pt_bytes_;
+  uint64_t* pt_toggles_;
+  uint64_t* pt_traced_branches_;
+  uint64_t* watch_traps_;
+  uint64_t* watch_arms_;
+  uint64_t* watch_denied_arms_;
+  uint64_t* watch_unarmed_accesses_;
+  int64_t* watch_peak_active_;
 };
 
 }  // namespace gist

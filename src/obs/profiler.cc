@@ -4,9 +4,9 @@
 
 #include "src/hw/perf_model.h"
 #include "src/ir/module.h"
-#include "src/obs/metrics.h"
 #include "src/support/check.h"
 #include "src/support/json.h"
+#include "src/support/metrics.h"
 #include "src/support/str.h"
 #include "src/vm/decoded_module.h"
 
@@ -72,19 +72,20 @@ void HotPathProfiler::Attach(const DecodedModule& decoded, std::string app) {
   }
 }
 
-void HotPathProfiler::AddRun(const BlockProfile& blocks, const ProfiledRunSample& sample) {
+void HotPathProfiler::AddRun(const BlockProfile& blocks, const RunStats& stats,
+                             const RunObsSample& obs) {
   GIST_CHECK(attached_) << "HotPathProfiler::AddRun before Attach";
   total_.Merge(blocks);
   ++runs_;
 
   const uint64_t class_counts[7] = {
-      sample.context_switches, sample.block_enters, sample.branches, sample.mem_accesses,
-      sample.returns,          sample.retired,      sample.thread_events,
+      stats.context_switches, stats.block_enters, stats.branches, stats.mem_accesses,
+      stats.returns,          stats.steps,        stats.thread_events,
   };
   for (uint32_t bit = 0; bit < 7; ++bit) {
     events_[bit] += class_counts[bit];
   }
-  for (uint32_t mask : sample.observer_masks) {
+  for (uint32_t mask : obs.observer_masks) {
     MaskCost& cost = masks_[mask];
     ++cost.observers;
     for (uint32_t bit = 0; bit < 7; ++bit) {
@@ -94,18 +95,18 @@ void HotPathProfiler::AddRun(const BlockProfile& blocks, const ProfiledRunSample
     }
   }
 
-  watch_denied_arms_ += sample.watch_denied_arms;
-  if (watch_slot_arms_.size() < sample.watch_slot_arms.size()) {
-    watch_slot_arms_.resize(sample.watch_slot_arms.size(), 0);
-    watch_slot_traps_.resize(sample.watch_slot_arms.size(), 0);
+  watch_denied_arms_ += obs.watch_denied_arms;
+  if (watch_slot_arms_.size() < obs.watch_slot_arms.size()) {
+    watch_slot_arms_.resize(obs.watch_slot_arms.size(), 0);
+    watch_slot_traps_.resize(obs.watch_slot_arms.size(), 0);
   }
-  for (size_t i = 0; i < sample.watch_slot_arms.size(); ++i) {
-    watch_slot_arms_[i] += sample.watch_slot_arms[i];
+  for (size_t i = 0; i < obs.watch_slot_arms.size(); ++i) {
+    watch_slot_arms_[i] += obs.watch_slot_arms[i];
   }
-  for (size_t i = 0; i < sample.watch_slot_traps.size(); ++i) {
-    watch_slot_traps_[i] += sample.watch_slot_traps[i];
+  for (size_t i = 0; i < obs.watch_slot_traps.size(); ++i) {
+    watch_slot_traps_[i] += obs.watch_slot_traps[i];
   }
-  for (const auto& [instr, traps] : sample.watch_traps_by_instr) {
+  for (const auto& [instr, traps] : obs.watch_traps_by_instr) {
     watch_traps_by_instr_[instr] += traps;
   }
 }

@@ -22,10 +22,10 @@
 // diff (`gist profdiff`) that tools/ci.sh runs as a strict gate against the
 // committed BENCH_profile.json baseline.
 //
-// This header is include-light on purpose: BlockProfile lives with its only
-// writer in src/vm/block_profile.h (header-only, so the VM never links the
-// obs library), and the profiler proper only forward-declares the decoded
-// module.
+// BlockProfile lives with its only writer in src/vm/block_profile.h
+// (header-only, so the VM never links the obs library); a run's event tallies
+// come from its RunStats and its watchpoint attribution from the RunObsSample
+// of the client runtime (src/core/client_runtime.h).
 
 #ifndef GIST_SRC_OBS_PROFILER_H_
 #define GIST_SRC_OBS_PROFILER_H_
@@ -36,43 +36,27 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/client_runtime.h"
 #include "src/ir/ids.h"
 #include "src/vm/block_profile.h"
+#include "src/vm/vm.h"
 
 namespace gist {
 
 class DecodedModule;
 class MetricsRegistry;
 
-// Everything a consumed run contributes beyond its BlockProfile: the
-// mode-independent event tallies (for the per-mask dispatch breakdown) and
-// the watchpoint attribution sampled from the client runtime. Built by
-// MakeProfiledSample (src/core/gist.h); unmonitored phase-1 probes carry
-// only the event tallies.
-struct ProfiledRunSample {
-  uint64_t retired = 0;
-  uint64_t mem_accesses = 0;
-  uint64_t branches = 0;
-  uint64_t context_switches = 0;
-  uint64_t block_enters = 0;
-  uint64_t returns = 0;
-  uint64_t thread_events = 0;
-  // Declared SubscribedEvents() mask of every attached observer. Declared —
-  // not the effective mask — so reference dispatch (which forces kEvAll)
-  // produces the same breakdown as the fast path.
-  std::vector<uint32_t> observer_masks;
-  // Watchpoint-slot contention (per debug-register slot, index-aligned) and
-  // trap attribution per trapping instruction.
-  uint64_t watch_denied_arms = 0;
-  std::vector<uint64_t> watch_slot_arms;
-  std::vector<uint64_t> watch_slot_traps;
-  std::vector<std::pair<InstrId, uint64_t>> watch_traps_by_instr;
-};
-
 // Coordinator-side aggregator. Attach() binds the module's block layout
 // (names, sizes, CFG successors) once; AddRun() folds one consumed run's
 // shard in — the fleet calls it in run-index order, making every export
 // deterministic.
+//
+// AddRun reads the run's mode-independent event tallies from `stats` (for the
+// per-mask dispatch breakdown) and the observer masks and watchpoint
+// attribution from `obs`. Unmonitored phase-1 probes have no client runtime
+// and pass the default, empty sample. Observer masks are the declared
+// SubscribedEvents(), not the effective mask, so reference dispatch (which
+// forces kEvAll) produces the same breakdown as the fast path.
 class HotPathProfiler {
  public:
   struct Options {
@@ -91,7 +75,7 @@ class HotPathProfiler {
   void Attach(const DecodedModule& decoded, std::string app);
   bool attached() const { return attached_; }
 
-  void AddRun(const BlockProfile& blocks, const ProfiledRunSample& sample);
+  void AddRun(const BlockProfile& blocks, const RunStats& stats, const RunObsSample& obs = {});
   uint64_t runs() const { return runs_; }
   const BlockProfile& totals() const { return total_; }
 

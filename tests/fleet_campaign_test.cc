@@ -67,8 +67,9 @@ struct CampaignFleet {
 
 // Rebuilds the server's final sketch three ways into `out`: as served, from
 // the server's summaries and streaming statistics over copies of the traces
-// with every PT buffer cleared (so no decode can contribute), and by the
-// batch path decoding the full buffers with no streaming state attached.
+// with every PT buffer cleared (so no decode can contribute), and from
+// SummarizeAll's batch recompute over the full buffers, which bypasses the
+// server's streaming state entirely. Also fingerprints that batch recompute.
 void RebuildFinalSketch(const Module& module, const GistServer& server, const std::string& title,
                         CampaignFleet* out) {
   Result<FailureSketch> served = server.BuildSketch();
@@ -79,23 +80,24 @@ void RebuildFinalSketch(const Module& module, const GistServer& server, const st
   options.title = title;
   options.discovered = &server.discovered_instrs();
   options.quarantined = server.quarantined_traces();
-  Result<FailureSketch> batch =
-      BuildFailureSketch(module, server.plan().window, server.traces(), options);
-  if (batch.ok()) {
-    out->batch_render = RenderFailureSketch(module, *batch);
-  }
   std::vector<RunTrace> stripped = server.traces();
   for (RunTrace& trace : stripped) {
     for (std::vector<uint8_t>& buffer : trace.pt_buffers) {
       buffer.clear();
     }
   }
-  options.behavior = &server.behavior();
-  options.summaries = &server.failure_summaries();
-  Result<FailureSketch> from_summaries =
-      BuildFailureSketch(module, server.plan().window, stripped, options);
+  Result<FailureSketch> from_summaries = BuildFailureSketch(
+      server.plan().window, stripped, server.behavior(), server.failure_summaries(), options);
   if (from_summaries.ok()) {
     out->summary_render = RenderFailureSketch(module, *from_summaries);
+  }
+  const BatchSummary batch = SummarizeAll(module, server.traces(), kDefaultBeta);
+  out->batch_fingerprint = batch.behavior.Fingerprint();
+  options.quarantined += batch.undecodable;
+  Result<FailureSketch> rebuilt = BuildFailureSketch(server.plan().window, batch.failing,
+                                                     batch.behavior, batch.summaries, options);
+  if (rebuilt.ok()) {
+    out->batch_render = RenderFailureSketch(module, *rebuilt);
   }
 }
 
@@ -123,19 +125,7 @@ CampaignFleet RunCampaignFleet(const BugApp& app, FleetOptions options) {
 
   // Batch recompute, bypassing the server's streaming aggregation entirely.
   // Must agree with the incremental result byte for byte.
-  const GistServer& server = fleet.server();
-  RebuildFinalSketch(app.module(), server, app.info().name, &out);
-  BehaviorStats replay;
-  for (const RunTrace& trace : server.traces()) {
-    // Server-accepted traces are guaranteed decodable (ingest validation).
-    std::vector<DecodedCoreTrace> decoded;
-    for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
-      decoded.push_back(
-          DecodePt(app.module(), static_cast<CoreId>(core), trace.pt_buffers[core]).trace);
-    }
-    replay.RecordRun(trace.run_id, ExtractPredictors(decoded, trace.watch_events), trace.failed);
-  }
-  out.batch_fingerprint = replay.Fingerprint();
+  RebuildFinalSketch(app.module(), fleet.server(), app.info().name, &out);
   return out;
 }
 

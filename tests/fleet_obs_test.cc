@@ -148,34 +148,6 @@ TEST(FleetObsTest, RegistryAgreesWithFleetResultTallies) {
 
 // --- interpreter identity ---------------------------------------------------
 
-// One monitored run of `snapshot`, with the interpreter mode pinned: the
-// pre-decoded fast path when `reference` is false, one-virtual-call-per-event
-// dispatch when true. Mirrors RunMonitored's snapshot flavor plus the obs
-// sample the fleet would take.
-MonitoredRun RunSnapshotWith(const Module& module, const PlanSnapshot& snapshot,
-                             const Workload& workload, const GistOptions& options,
-                             bool reference) {
-  ClientRuntime runtime(module, snapshot, /*client_index=*/0, options.num_cores,
-                        options.pt_buffer_bytes);
-  VmOptions vm_options;
-  vm_options.num_cores = options.num_cores;
-  vm_options.observers = {&runtime};
-  vm_options.hook = &runtime;
-  if (reference) {
-    vm_options.reference_dispatch = true;
-  } else {
-    vm_options.decoded = snapshot.decoded().get();
-  }
-  Vm vm(module, workload, vm_options);
-  MonitoredRun run{vm.Run(), RunTrace{}, RunObsSample{}};
-  run.trace = runtime.TakeTrace(/*run_id=*/0, run.result);
-  run.obs.traced_branches = runtime.tracer().traced_branches();
-  run.obs.watch_denied_arms = runtime.watchpoints().denied_arms();
-  run.obs.watch_peak_active = runtime.watchpoints().peak_active();
-  run.obs.unarmed_accesses = runtime.unarmed_accesses().size();
-  return run;
-}
-
 TEST(FleetObsTest, FastPathAndReferencePublishIdenticalMetricsOnAllApps) {
   // Everything a run contributes to the merged snapshot — vm.*, pt.encode.*,
   // hw.watch.* — must be dispatch-mode independent. Only the "engine."
@@ -214,13 +186,18 @@ TEST(FleetObsTest, FastPathAndReferencePublishIdenticalMetricsOnAllApps) {
       workloads.push_back(app->MakeWorkload(run, rng));
     }
 
+    // Each workload runs once on the pre-decoded fast path and once under
+    // one-virtual-call-per-event reference dispatch.
+    GistOptions reference = options;
+    reference.tier = ExecTier::kReference;
     MetricsRegistry fast_metrics;
     MetricsRegistry ref_metrics;
+    RunMetricsPublisher fast_publisher(&fast_metrics);
+    RunMetricsPublisher ref_publisher(&ref_metrics);
     for (const Workload& workload : workloads) {
-      PublishRunMetrics(RunSnapshotWith(module, snapshot, workload, options, false),
-                        &fast_metrics);
-      PublishRunMetrics(RunSnapshotWith(module, snapshot, workload, options, true),
-                        &ref_metrics);
+      fast_publisher.Publish(RunMonitored(module, snapshot, /*client_index=*/0, workload, options));
+      ref_publisher.Publish(
+          RunMonitored(module, snapshot, /*client_index=*/0, workload, reference));
     }
     // The "engine." namespace is the fast path's batching bookkeeping and may
     // differ between dispatch modes; everything else is byte-identical.

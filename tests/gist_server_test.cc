@@ -145,15 +145,27 @@ TEST_F(GistServerTest, ReportResetsState) {
   GistServer server(*module_);
   server.ReportFailure(report_);
   MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, GistOptions{}, 1);
+  RunTrace corrupt = run.trace;
+  ASSERT_FALSE(corrupt.pt_buffers.empty());
+  corrupt.pt_buffers[0] = {0xff};  // not a packet header
+  ASSERT_EQ(server.AddTrace(std::move(corrupt)), GistServer::TraceIngest::kQuarantined);
   server.AddTrace(std::move(run.trace));
   server.AdvanceAst();
   ASSERT_GT(server.trace_count(), 0u);
+  ASSERT_EQ(server.quarantined_traces(), 1u);
 
   server.ReportFailure(report_);  // re-target
   EXPECT_EQ(server.trace_count(), 0u);
   EXPECT_EQ(server.failure_recurrences(), 0u);
   EXPECT_EQ(server.ast_iteration(), 0u);
   EXPECT_TRUE(server.discovered_instrs().empty());
+  EXPECT_EQ(server.quarantined_traces(), 0u);
+  EXPECT_EQ(server.CampaignState().quarantined, 0u);
+  MonitoredRun next = RunMonitored(*module_, server.plan(), Workload{}, GistOptions{}, 2);
+  server.AddTrace(std::move(next.trace));
+  Result<FailureSketch> sketch = server.BuildSketch();
+  ASSERT_TRUE(sketch.ok()) << sketch.error().message();
+  EXPECT_EQ(sketch->quarantined_traces, 0u);
 }
 
 TEST_F(GistServerTest, BuildSketchWithoutTracesErrors) {

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "src/obs/flight_recorder.h"
-#include "src/obs/metrics.h"
+#include "src/support/metrics.h"
 
 namespace gist {
 namespace {

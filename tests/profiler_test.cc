@@ -16,44 +16,12 @@
 
 #include "src/apps/app.h"
 #include "src/core/gist.h"
-#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/support/metrics.h"
 #include "src/vm/vm.h"
 
 namespace gist {
 namespace {
-
-// One monitored run of `snapshot` with the interpreter mode pinned — the
-// pre-decoded fast path when `reference` is false, one-virtual-call-per-event
-// dispatch when true — plus the profile shard and obs sample the fleet
-// coordinator would hand to the profiler.
-MonitoredRun RunProfiledWith(const Module& module, const PlanSnapshot& snapshot,
-                             const Workload& workload, const GistOptions& options,
-                             bool reference) {
-  ClientRuntime runtime(module, snapshot, /*client_index=*/0, options.num_cores,
-                        options.pt_buffer_bytes);
-  MonitoredRun run;
-  VmOptions vm_options;
-  vm_options.num_cores = options.num_cores;
-  vm_options.observers = {&runtime};
-  vm_options.hook = &runtime;
-  vm_options.profile = &run.profile;
-  if (reference) {
-    vm_options.reference_dispatch = true;
-  } else {
-    vm_options.decoded = snapshot.decoded().get();
-  }
-  Vm vm(module, workload, vm_options);
-  run.result = vm.Run();
-  run.trace = runtime.TakeTrace(/*run_id=*/0, run.result);
-  run.obs.watch_denied_arms = runtime.watchpoints().denied_arms();
-  run.obs.observer_masks.push_back(runtime.SubscribedEvents());
-  run.obs.watch_slot_arms = runtime.watchpoints().slot_arms();
-  run.obs.watch_slot_traps = runtime.watchpoints().slot_traps();
-  run.obs.watch_traps_by_instr.assign(runtime.watchpoints().traps_by_instr().begin(),
-                                      runtime.watchpoints().traps_by_instr().end());
-  return run;
-}
 
 // Finds a failing workload for `app` with cheap unmonitored probes (the
 // fleet_obs_test probe stream), or fails the test.
@@ -84,6 +52,7 @@ TEST(ProfilerTest, FastPathAndReferenceExportIdenticalProfilesOnAllApps) {
         << "no failing workload among probes";
 
     GistOptions options;
+    options.collect_profile = true;
     GistServer server(module, options);
     server.ReportFailure(first_failure);
     const PlanSnapshot snapshot = server.Snapshot();
@@ -99,11 +68,15 @@ TEST(ProfilerTest, FastPathAndReferenceExportIdenticalProfilesOnAllApps) {
     HotPathProfiler reference;
     fast.Attach(*snapshot.decoded(), app->info().name);
     reference.Attach(*snapshot.decoded(), app->info().name);
+    // Each workload runs once on the pre-decoded fast path and once under
+    // one-virtual-call-per-event reference dispatch.
+    GistOptions reference_options = options;
+    reference_options.tier = ExecTier::kReference;
     for (const Workload& workload : workloads) {
-      const MonitoredRun fast_run = RunProfiledWith(module, snapshot, workload, options, false);
-      const MonitoredRun ref_run = RunProfiledWith(module, snapshot, workload, options, true);
-      fast.AddRun(fast_run.profile, MakeProfiledSample(fast_run));
-      reference.AddRun(ref_run.profile, MakeProfiledSample(ref_run));
+      const MonitoredRun fast_run = RunMonitored(module, snapshot, 0, workload, options);
+      const MonitoredRun ref_run = RunMonitored(module, snapshot, 0, workload, reference_options);
+      fast.AddRun(fast_run.profile, fast_run.result.stats, fast_run.obs);
+      reference.AddRun(ref_run.profile, ref_run.result.stats, ref_run.obs);
     }
     EXPECT_GT(fast.totals().total_retired(), 0u);
     EXPECT_EQ(fast.ProfileJson(), reference.ProfileJson());
@@ -133,7 +106,7 @@ TEST(ProfilerTest, RetiredHistogramAccountsEveryInstruction) {
     EXPECT_EQ(shard.total_retired(), result.stats.steps);
     steps += result.stats.steps;
     branches += result.stats.branches;
-    profiler.AddRun(shard, MakeProfiledSample(result.stats));
+    profiler.AddRun(shard, result.stats);
   }
   ASSERT_GT(steps, 0u);
   EXPECT_EQ(profiler.totals().total_retired(), steps);
@@ -166,7 +139,7 @@ TEST(ProfilerTest, DiffAcceptsEqualProfilesAndFlagsDrift) {
       options.profile = &shard;
       Vm vm(app->module(), workload, options);
       const RunResult result = vm.Run();
-      profiler.AddRun(shard, MakeProfiledSample(result.stats));
+      profiler.AddRun(shard, result.stats);
     }
   };
   HotPathProfiler baseline;
@@ -256,7 +229,7 @@ TEST(ProfilerTest, PublishSummaryMirrorsAggregateIntoRegistry) {
   options.profile = &shard;
   Vm vm(app->module(), workload, options);
   const RunResult result = vm.Run();
-  profiler.AddRun(shard, MakeProfiledSample(result.stats));
+  profiler.AddRun(shard, result.stats);
 
   MetricsRegistry metrics;
   profiler.PublishSummary(&metrics);

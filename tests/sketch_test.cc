@@ -208,8 +208,8 @@ TEST_F(SketchTest, SharedAccessOrderListsWatchedInstrsInStepOrder) {
 }
 
 TEST_F(SketchTest, SummariesAloneRebuildTheSketch) {
-  // With the server's summaries and streaming statistics attached, the
-  // build reads no PT buffer: stripping every buffer changes nothing.
+  // The build reads no PT buffer: from the server's summaries and streaming
+  // statistics, stripping every buffer changes nothing.
   std::vector<RunTrace> stripped = server_->traces();
   for (RunTrace& trace : stripped) {
     trace.pt_buffers.clear();
@@ -217,14 +217,36 @@ TEST_F(SketchTest, SummariesAloneRebuildTheSketch) {
   SketchOptions options;
   options.title = "failure";
   options.discovered = &server_->discovered_instrs();
-  options.behavior = &server_->behavior();
-  options.summaries = &server_->failure_summaries();
   Result<FailureSketch> from_summaries =
-      BuildFailureSketch(*module_, server_->plan().window, stripped, options);
+      BuildFailureSketch(server_->plan().window, stripped, server_->behavior(),
+                         server_->failure_summaries(), options);
   Result<FailureSketch> served = server_->BuildSketch();
   ASSERT_TRUE(from_summaries.ok()) << from_summaries.error().message();
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(RenderFailureSketch(*module_, *from_summaries), RenderFailureSketch(*module_, *served));
+}
+
+TEST_F(SketchTest, SummarizeAllSkipsAndCountsUndecodableTraces) {
+  // The batch path over the server's traces recomputes its ingest state...
+  const BatchSummary clean = SummarizeAll(*module_, server_->traces(), kDefaultBeta);
+  EXPECT_EQ(clean.undecodable, 0u);
+  EXPECT_EQ(clean.summaries, server_->failure_summaries());
+  EXPECT_EQ(clean.behavior.Fingerprint(), server_->behavior().Fingerprint());
+
+  // ...and skips a failing trace whose PT no longer decodes: it is left out
+  // of the statistics and the summaries, and counted — never fatal.
+  std::vector<RunTrace> traces = server_->traces();
+  const auto first_failing = std::find_if(traces.begin(), traces.end(),
+                                          [](const RunTrace& trace) { return trace.failed; });
+  ASSERT_NE(first_failing, traces.end());
+  ASSERT_FALSE(first_failing->pt_buffers.empty());
+  first_failing->pt_buffers[0] = {0xff};  // not a packet header
+  const BatchSummary batch = SummarizeAll(*module_, traces, kDefaultBeta);
+  EXPECT_EQ(batch.undecodable, 1u);
+  EXPECT_EQ(batch.behavior.runs_recorded(), clean.behavior.runs_recorded() - 1);
+  const std::vector<TraceSummary> expected(clean.summaries.begin() + 1, clean.summaries.end());
+  EXPECT_EQ(batch.summaries, expected);
+  EXPECT_EQ(batch.failing.size(), expected.size());
 }
 
 // SummarizeTrace over hand-built decodes of kProgram's entry blocks.
@@ -294,20 +316,22 @@ TEST_F(SummarizeTraceTest, LastOccurrenceWins) {
   EXPECT_EQ(summary.executed, (std::vector<InstrId>{Entry(main_, 0), Entry(main_, 1)}));
 }
 
-TEST(SketchErrorsTest, NoFailingRunIsAnError) {
+// Builds a sketch of `traces` through SummarizeAll, the batch path.
+Result<FailureSketch> BuildFromRawTraces(const std::vector<RunTrace>& traces) {
   auto module = ParseModule("func main() {\nentry:\n  ret\n}\n");
-  ASSERT_TRUE(module.ok());
+  GIST_CHECK(module.ok());
+  const BatchSummary batch = SummarizeAll(**module, traces, kDefaultBeta);
+  return BuildFailureSketch({}, batch.failing, batch.behavior, batch.summaries);
+}
+
+TEST(SketchErrorsTest, NoFailingRunIsAnError) {
   RunTrace successful;
   successful.failed = false;
-  Result<FailureSketch> sketch = BuildFailureSketch(**module, {}, {successful});
-  EXPECT_FALSE(sketch.ok());
+  EXPECT_FALSE(BuildFromRawTraces({successful}).ok());
 }
 
 TEST(SketchErrorsTest, EmptyTraceListIsAnError) {
-  auto module = ParseModule("func main() {\nentry:\n  ret\n}\n");
-  ASSERT_TRUE(module.ok());
-  Result<FailureSketch> sketch = BuildFailureSketch(**module, {}, {});
-  EXPECT_FALSE(sketch.ok());
+  EXPECT_FALSE(BuildFromRawTraces({}).ok());
 }
 
 }  // namespace

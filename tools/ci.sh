@@ -39,11 +39,24 @@ fi
 # the stage (ctest -L with no matches errors under --no-tests=error).
 LABELS=(unit obs fleet chaos corpus)
 
+# Layering guard: the pipeline layers include nothing from the
+# observability tier (src/obs links src/core, never the reverse).
+check_layering() {
+  if grep -rn '#include "src/obs/' src/{support,ir,cfg,analysis,vm,pt,hw,core}; then
+    echo "layering: the lines above include src/obs below the observability tier" >&2
+    return 1
+  fi
+}
+
 run_labels() {
   local dir="$1"
   local -a label_seconds=()
   local label start
   for label in "${LABELS[@]}"; do
+    if [[ "${label}" == unit ]]; then
+      echo "=== [${dir#build-ci-}] layering guard ==="
+      check_layering
+    fi
     echo "=== [${dir#build-ci-}] ctest -L ${label} ==="
     start=${SECONDS}
     (cd "${dir}" && ctest --output-on-failure --no-tests=error -j "${JOBS}" -L "${label}")
