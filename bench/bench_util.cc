@@ -101,8 +101,7 @@ AppFleetOutcome RunAppFleet(const std::string& name, const FleetOptions& options
 
   const std::vector<InstrId>& root_cause = app.root_cause_instrs();
   outcome.fleet = fleet.Run([&](const FailureSketch& sketch) {
-    return std::all_of(root_cause.begin(), root_cause.end(),
-                       [&](InstrId id) { return sketch.Contains(id); });
+    return sketch.ContainsAll(root_cause);
   });
 
   if (fleet.server().HasTarget()) {

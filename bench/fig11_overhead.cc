@@ -76,33 +76,34 @@ std::vector<OverheadSample> RunSweep(ThreadPool& pool, double* seconds) {
     // Plan per app, then flatten the app×run grid into one task list.
     struct Task {
       const BugApp* app = nullptr;
-      const GistServer* server = nullptr;
+      const PlanSnapshot* snapshot = nullptr;
       Workload workload;
     };
-    std::vector<std::unique_ptr<GistServer>> servers;
+    std::vector<PlanSnapshot> snapshots;
+    snapshots.reserve(apps.size());  // tasks point into it
     std::vector<Task> tasks;
     for (size_t a = 0; a < apps.size(); ++a) {
-      auto server = std::make_unique<GistServer>(apps[a]->module(), gist_options);
-      server->ReportFailure(reports[a]);
+      GistServer server(apps[a]->module(), gist_options);
+      server.ReportFailure(reports[a]);
+      snapshots.push_back(server.Snapshot());
       Rng rng(4242);
       for (int i = 0; i < kRunsPerPoint; ++i) {
         Task task;
         task.app = apps[a].get();
-        task.server = server.get();
+        task.snapshot = &snapshots.back();
         task.workload = apps[a]->MakeWorkload(static_cast<uint64_t>(i), rng);
         if (task.workload.inputs.size() > kWorkScaleInput) {
           task.workload.inputs[kWorkScaleInput] = kProductionScale;
         }
         tasks.push_back(std::move(task));
       }
-      servers.push_back(std::move(server));
     }
 
     std::vector<MonitoredRun> runs(tasks.size());
     pool.ParallelFor(tasks.size(), [&](uint64_t k) {
       const Task& task = tasks[k];
-      runs[k] = RunMonitored(task.app->module(), task.server->plan(), task.workload,
-                             gist_options, k, 10'000'000);
+      runs[k] = RunMonitored(task.app->module(), *task.snapshot, 0, task.workload, gist_options,
+                             k, 10'000'000);
     });
 
     OverheadSample sample;

@@ -49,7 +49,7 @@ double GistOverhead(const BugApp& app, const Workload& workload, const CostModel
   }
   GistServer server(app.module());
   server.ReportFailure(report);
-  MonitoredRun run = RunMonitored(app.module(), server.plan(), workload, GistOptions{}, 0,
+  MonitoredRun run = RunMonitored(app.module(), server.Snapshot(), 0, workload, GistOptions{}, 0,
                                   10'000'000);
   if (run.trace.baseline_instructions == 0) {
     return 0.0;

@@ -169,9 +169,10 @@ void BM_VmWithClientRuntimeAttached(benchmark::State& state) {
   server.ReportFailure(report);
   Workload workload = app->MakeWorkload(0, rng);
   workload.inputs[kWorkScaleInput] = 2000;
+  const PlanSnapshot snapshot = server.Snapshot();
   uint64_t steps = 0;
   for (auto _ : state) {
-    MonitoredRun run = RunMonitored(app->module(), server.plan(), workload);
+    MonitoredRun run = RunMonitored(app->module(), snapshot, 0, workload);
     steps += run.result.stats.steps;
     benchmark::DoNotOptimize(run.trace.baseline_instructions);
   }

@@ -65,15 +65,13 @@ int main() {
                 server.plan().watch_instrs.size());
     for (int i = 0; i < 120; ++i) {
       Workload workload = app->MakeWorkload(runs_until_failure++, rng);
-      MonitoredRun run = RunMonitored(module, server.plan(), workload, options, runs_until_failure);
+      MonitoredRun run =
+          RunMonitored(module, server.Snapshot(), 0, workload, options, runs_until_failure);
       server.AddTrace(std::move(run.trace));
     }
     Result<FailureSketch> sketch = server.BuildSketch();
     if (sketch.ok()) {
-      bool complete = true;
-      for (InstrId id : app->root_cause_instrs()) {
-        complete = complete && sketch->Contains(id);
-      }
+      const bool complete = sketch->ContainsAll(app->root_cause_instrs());
       std::printf("   sketch: %zu statements, %u failing / %u successful runs used%s\n",
                   sketch->InstrSet().size(), sketch->failing_runs_used,
                   sketch->successful_runs_used,

@@ -98,7 +98,7 @@ int main() {
     for (int i = 0; i < 120; ++i) {
       Workload workload;
       workload.schedule_seed = ++seed;
-      MonitoredRun run = RunMonitored(**module, server.plan(), workload, options, seed);
+      MonitoredRun run = RunMonitored(**module, server.Snapshot(), 0, workload, options, seed);
       server.AddTrace(std::move(run.trace));
     }
     Result<FailureSketch> built = server.BuildSketch();

@@ -46,7 +46,7 @@ int main() {
   // input recurs, and the value predictor discriminates perfectly.
   for (int i = 0; i < 200; ++i) {
     Workload workload = app->MakeWorkload(run_index++, rng);
-    MonitoredRun run = RunMonitored(module, server.plan(), workload, options, run_index);
+    MonitoredRun run = RunMonitored(module, server.Snapshot(), 0, workload, options, run_index);
     server.AddTrace(std::move(run.trace));
   }
 

@@ -4,25 +4,19 @@
 
 namespace gist {
 
-ClientRuntime::ClientRuntime(const Module& module, const InstrumentationPlan& plan,
-                             uint32_t num_cores, size_t pt_buffer_bytes,
-                             uint32_t watchpoint_slots)
-    : module_(module),
-      plan_(plan),
-      tracer_(num_cores, pt_buffer_bytes, /*always_on=*/false),
-      watchpoints_(watchpoint_slots) {
-  // Statically-known addresses (globals) are armed before the run starts.
-  for (Addr addr : plan.static_watch_addrs) {
-    watchpoints_.Arm(addr);
-  }
-}
-
 ClientRuntime::ClientRuntime(const Module& module, const PlanSnapshot& snapshot,
                              uint64_t client_index, uint32_t num_cores, size_t pt_buffer_bytes,
                              uint32_t watchpoint_slots)
-    : ClientRuntime(module, snapshot.ForClient(client_index), num_cores, pt_buffer_bytes,
-                    watchpoint_slots == kSnapshotSlots ? snapshot.watchpoint_slots()
-                                                       : watchpoint_slots) {}
+    : module_(module),
+      plan_(snapshot.ForClient(client_index)),
+      tracer_(num_cores, pt_buffer_bytes, /*always_on=*/false),
+      watchpoints_(watchpoint_slots == kSnapshotSlots ? snapshot.watchpoint_slots()
+                                                      : watchpoint_slots) {
+  // Statically-known addresses (globals) are armed before the run starts.
+  for (Addr addr : plan_.static_watch_addrs) {
+    watchpoints_.Arm(addr);
+  }
+}
 
 void ClientRuntime::OnContextSwitch(CoreId core, ThreadId prev, ThreadId next,
                                     FunctionId next_function, BlockId next_block,

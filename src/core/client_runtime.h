@@ -1,10 +1,10 @@
 // Gist's client-side runtime (paper Fig. 2, "Gist-client").
 //
-// An ExecutionObserver that executes an InstrumentationPlan against one
-// production run: it toggles the (simulated) Intel PT driver at the plan's
-// start blocks and stop instructions, arms hardware watchpoints when tracked
-// accesses first execute, and packages everything into a RunTrace for the
-// server.
+// An ExecutionObserver that executes the InstrumentationPlan a PlanSnapshot
+// assigns one client against one production run: it toggles the (simulated)
+// Intel PT driver at the plan's start blocks and stop instructions, arms
+// hardware watchpoints when tracked accesses first execute, and packages
+// everything into a RunTrace for the server.
 
 #ifndef GIST_SRC_CORE_CLIENT_RUNTIME_H_
 #define GIST_SRC_CORE_CLIENT_RUNTIME_H_
@@ -43,19 +43,15 @@ struct RunObsSample {
 
 class ClientRuntime : public ExecutionObserver, public InstrumentationHook {
  public:
-  ClientRuntime(const Module& module, const InstrumentationPlan& plan, uint32_t num_cores,
-                size_t pt_buffer_bytes = kDefaultPtBufferBytes,
-                uint32_t watchpoint_slots = kNumWatchpointSlots);
-
   // "Use the snapshot's watchpoint budget" sentinel for the ctor below.
   static constexpr uint32_t kSnapshotSlots = UINT32_MAX;
 
-  // Frozen-snapshot flavor: runs client `client_index`'s rotation of the
-  // snapshot's plan. The runtime only ever reads the snapshot, so many
-  // runtimes (one per concurrent run) may share one. The snapshot must
-  // outlive the runtime. `watchpoint_slots` overrides the snapshot's debug-
-  // register budget — fault injection uses it to model slot contention
-  // (another tool already owns some or all of DR0–DR3 on this client).
+  // Runs client `client_index`'s rotation of the snapshot's plan. The
+  // runtime only ever reads the snapshot, so many runtimes (one per
+  // concurrent run) may share one. The snapshot must outlive the runtime.
+  // `watchpoint_slots` overrides the snapshot's debug-register budget —
+  // fault injection uses it to model slot contention (another tool already
+  // owns some or all of DR0–DR3 on this client).
   ClientRuntime(const Module& module, const PlanSnapshot& snapshot, uint64_t client_index,
                 uint32_t num_cores, size_t pt_buffer_bytes = kDefaultPtBufferBytes,
                 uint32_t watchpoint_slots = kSnapshotSlots);

@@ -202,17 +202,24 @@ void GistServer::AdvanceAst() {
   Replan();
 }
 
-namespace {
-
-// Executes `workload` with `runtime` attached as the run's observer and
-// instrumentation hook, then packages the outcome, the trace to ship and the
-// runtime's observability sample.
-MonitoredRun Execute(const Module& module, const Workload& workload, ClientRuntime& runtime,
-                     VmOptions vm_options, const GistOptions& options, uint64_t run_id) {
+MonitoredRun RunMonitored(const Module& module, const PlanSnapshot& snapshot,
+                          uint64_t client_index, const Workload& workload,
+                          const GistOptions& options, uint64_t run_id, uint64_t max_steps,
+                          const RunDegradation& degradation) {
+  ClientRuntime runtime(module, snapshot, client_index, options.num_cores,
+                        options.pt_buffer_bytes, degradation.watchpoint_slots);
   MonitoredRun run;
+  VmOptions vm_options;
   vm_options.num_cores = options.num_cores;
+  vm_options.max_steps = max_steps;
+  vm_options.kill_after_steps = degradation.kill_after_steps;
+  vm_options.decoded = snapshot.decoded().get();  // shared fleet-wide cache
   vm_options.observers = {&runtime};
   vm_options.hook = &runtime;
+  GIST_CHECK(options.tier != ExecTier::kSuper) << "ExecTier::kSuper is retired";
+  if (options.tier == ExecTier::kReference) {
+    vm_options.reference_dispatch = true;  // the always-dispatch oracle
+  }
   if (options.collect_profile) {
     vm_options.profile = &run.profile;
   }
@@ -221,35 +228,6 @@ MonitoredRun Execute(const Module& module, const Workload& workload, ClientRunti
   run.trace = runtime.TakeTrace(run_id, run.result);
   run.obs = runtime.Sample();
   return run;
-}
-
-}  // namespace
-
-MonitoredRun RunMonitored(const Module& module, const InstrumentationPlan& plan,
-                          const Workload& workload, const GistOptions& options, uint64_t run_id,
-                          uint64_t max_steps) {
-  ClientRuntime runtime(module, plan, options.num_cores, options.pt_buffer_bytes,
-                        options.watchpoint_slots);
-  VmOptions vm_options;
-  vm_options.max_steps = max_steps;
-  return Execute(module, workload, runtime, vm_options, options, run_id);
-}
-
-MonitoredRun RunMonitored(const Module& module, const PlanSnapshot& snapshot,
-                          uint64_t client_index, const Workload& workload,
-                          const GistOptions& options, uint64_t run_id, uint64_t max_steps,
-                          const RunDegradation& degradation) {
-  ClientRuntime runtime(module, snapshot, client_index, options.num_cores,
-                        options.pt_buffer_bytes, degradation.watchpoint_slots);
-  VmOptions vm_options;
-  vm_options.max_steps = max_steps;
-  vm_options.kill_after_steps = degradation.kill_after_steps;
-  vm_options.decoded = snapshot.decoded().get();  // shared fleet-wide cache
-  GIST_CHECK(options.tier != ExecTier::kSuper) << "ExecTier::kSuper is retired";
-  if (options.tier == ExecTier::kReference) {
-    vm_options.reference_dispatch = true;  // the always-dispatch oracle
-  }
-  return Execute(module, workload, runtime, vm_options, options, run_id);
 }
 
 }  // namespace gist

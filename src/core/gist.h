@@ -3,14 +3,14 @@
 // Server side (offline, "developer site"):
 //   GistServer server(module, options);
 //   server.ReportFailure(report);            // ① failure report
-//   const InstrumentationPlan& plan = server.plan();   // ② instrumentation
-//   ... clients run with the plan and produce RunTraces ...
+//   PlanSnapshot snapshot = server.Snapshot();        // ② instrumentation
+//   ... clients run the snapshot and produce RunTraces ...
 //   server.AddTrace(std::move(trace));       // ④ runtime traces
 //   Result<FailureSketch> sketch = server.BuildSketch();   // ⑤ sketch
 //   if (!sketch_has_root_cause) server.AdvanceAst();       // ③ refinement
 //
 // Client side (production run):
-//   MonitoredRun run = RunMonitored(module, server.plan(), workload, opts);
+//   MonitoredRun run = RunMonitored(module, snapshot, client_index, workload, opts);
 
 #ifndef GIST_SRC_CORE_GIST_H_
 #define GIST_SRC_CORE_GIST_H_
@@ -241,10 +241,6 @@ struct MonitoredRun {
   BlockProfile profile;
 };
 
-MonitoredRun RunMonitored(const Module& module, const InstrumentationPlan& plan,
-                          const Workload& workload, const GistOptions& options = {},
-                          uint64_t run_id = 0, uint64_t max_steps = 2'000'000);
-
 // Client-side degradation injected into one monitored run (DESIGN.md §8).
 // The default is a healthy client; the fault-injection layer fills this from
 // a FaultPlan.
@@ -257,9 +253,10 @@ struct RunDegradation {
   uint32_t watchpoint_slots = ClientRuntime::kSnapshotSlots;
 };
 
-// Snapshot flavor: the run executes client `client_index`'s rotation of the
-// frozen plan. Touches no server state, so calls may run concurrently (one
-// per thread) as long as the snapshot outlives them.
+// Executes client `client_index`'s rotation of the frozen plan (§3.2.3; the
+// base plan whenever the watch set fits the slots). Touches no server state,
+// so calls may run concurrently (one per thread) as long as the snapshot
+// outlives them.
 MonitoredRun RunMonitored(const Module& module, const PlanSnapshot& snapshot,
                           uint64_t client_index, const Workload& workload,
                           const GistOptions& options = {}, uint64_t run_id = 0,

@@ -18,6 +18,10 @@ bool FailureSketch::Contains(InstrId id) const {
   return false;
 }
 
+bool FailureSketch::ContainsAll(const std::vector<InstrId>& ids) const {
+  return std::all_of(ids.begin(), ids.end(), [this](InstrId id) { return Contains(id); });
+}
+
 std::vector<InstrId> FailureSketch::InstrSet() const {
   std::set<InstrId> unique;
   for (const SketchStatement& statement : statements) {

@@ -78,6 +78,9 @@ struct FailureSketch {
   uint64_t quarantined_traces = 0;
 
   bool Contains(InstrId id) const;
+  // True when every statement of `ids` is in the sketch — the developer's
+  // "root cause visible" check.
+  bool ContainsAll(const std::vector<InstrId>& ids) const;
   std::vector<InstrId> InstrSet() const;
   // Statements in step order restricted to shared-memory accesses — the
   // sequence the ordering-accuracy metric compares (§5.2).

@@ -69,8 +69,7 @@ ProgramScore ScoreProgram(const GeneratedProgram& program, const CorpusScoreOpti
       },
       fleet_options);
   const FleetResult result = fleet.Run([&manifest](const FailureSketch& sketch) {
-    return std::all_of(manifest.root_cause.begin(), manifest.root_cause.end(),
-                       [&sketch](InstrId id) { return sketch.Contains(id); });
+    return sketch.ContainsAll(manifest.root_cause);
   });
 
   score.manifested = result.first_failure_found;

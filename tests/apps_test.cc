@@ -98,12 +98,7 @@ TEST_P(AppSweep, FleetDiagnosesRootCause) {
 
   const std::vector<InstrId>& root_cause = app_->root_cause_instrs();
   FleetResult result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
 
   ASSERT_TRUE(result.first_failure_found) << app_->info().name;

@@ -112,12 +112,7 @@ CampaignFleet RunCampaignFleet(const BugApp& app, FleetOptions options) {
   const std::vector<InstrId>& root_cause = app.root_cause_instrs();
   CampaignFleet out;
   out.result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
   out.journal = tracker.JournalJson();
   out.sketch_render = RenderFailureSketch(app.module(), out.result.sketch);
@@ -169,12 +164,7 @@ TEST(FleetCampaignTest, JournalCarriesConvergenceSignals) {
       options);
   const std::vector<InstrId>& root_cause = app->root_cause_instrs();
   const FleetResult result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
   ASSERT_TRUE(result.root_cause_found);
   ASSERT_EQ(tracker.iterations(), result.iterations.size());
@@ -211,10 +201,7 @@ TEST(FleetCampaignTest, JournalReaderRoundTripsAndRejectsEveryPrefix) {
       [&app](uint64_t run_index, Rng& rng) { return app->MakeWorkload(run_index, rng); },
       options);
   const std::vector<InstrId>& root_cause = app->root_cause_instrs();
-  fleet.Run([&](const FailureSketch& sketch) {
-    return std::all_of(root_cause.begin(), root_cause.end(),
-                       [&](InstrId id) { return sketch.Contains(id); });
-  });
+  fleet.Run([&](const FailureSketch& sketch) { return sketch.ContainsAll(root_cause); });
   ASSERT_GT(tracker.iterations(), 0u);
   const std::string text = tracker.JournalJson();
 
@@ -356,8 +343,7 @@ TEST(FleetCampaignTest, SummariesRebuildSketchWithoutPtOnCorpusSubset) {
         },
         options);
     const FleetResult result = fleet.Run([&manifest](const FailureSketch& sketch) {
-      return std::all_of(manifest.root_cause.begin(), manifest.root_cause.end(),
-                         [&sketch](InstrId id) { return sketch.Contains(id); });
+      return sketch.ContainsAll(manifest.root_cause);
     });
     ASSERT_TRUE(result.first_failure_found);
     CampaignFleet out;

@@ -64,12 +64,7 @@ ProfiledFleet RunProfiledFleet(const BugApp& app, FleetOptions options) {
   const std::vector<InstrId>& root_cause = app.root_cause_instrs();
   ProfiledFleet profiled;
   profiled.result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
   profiled.profile_json = profiler.ProfileJson();
   profiled.profile_collapsed = profiler.ProfileCollapsed();
@@ -124,14 +119,7 @@ TEST(FleetProfTest, ProfileAgreesWithRecorderCounters) {
       [&app](uint64_t run_index, Rng& rng) { return app->MakeWorkload(run_index, rng); },
       options);
   const std::vector<InstrId>& root_cause = app->root_cause_instrs();
-  fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
-  });
+  fleet.Run([&](const FailureSketch& sketch) { return sketch.ContainsAll(root_cause); });
 
   const MetricsRegistry& metrics = recorder.metrics();
   EXPECT_EQ(profiler.totals().total_retired(), metrics.counter("vm.instructions_retired"));

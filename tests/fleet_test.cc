@@ -61,12 +61,7 @@ TEST(FleetTest, IterationStatsAreConsistent) {
               SmallFleet(3));
   const std::vector<InstrId>& root_cause = app->root_cause_instrs();
   FleetResult result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
   ASSERT_TRUE(result.root_cause_found);
   ASSERT_FALSE(result.iterations.empty());
@@ -129,12 +124,7 @@ TEST(FleetTest, CooperativeWatchRotationCoversAllAccessesAcrossClients) {
   ASSERT_EQ(loads.size(), 6u);
 
   FleetResult result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : loads) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(loads);
   });
   EXPECT_TRUE(result.root_cause_found)
       << "rotating 4 watchpoints across clients must cover all 6 accesses";

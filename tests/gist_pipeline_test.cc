@@ -160,7 +160,8 @@ TEST_F(PipelineTest, FullLoopProducesSketchWithRootCause) {
     for (uint64_t seed = 1; seed <= 60; ++seed) {
       Workload workload;
       workload.schedule_seed = seed;
-      MonitoredRun run = RunMonitored(*module_, server.plan(), workload, GistOptions{}, seed);
+      MonitoredRun run =
+          RunMonitored(*module_, server.Snapshot(), 0, workload, GistOptions{}, seed);
       server.AddTrace(std::move(run.trace));
     }
     ASSERT_GT(server.failure_recurrences(), 0u);
@@ -205,7 +206,7 @@ TEST_F(PipelineTest, SuccessfulRunsLowerNonDiscriminatingPredictors) {
   for (uint64_t seed = 1; seed <= 80; ++seed) {
     Workload workload;
     workload.schedule_seed = seed;
-    MonitoredRun run = RunMonitored(*module_, server.plan(), workload, GistOptions{}, seed);
+    MonitoredRun run = RunMonitored(*module_, server.Snapshot(), 0, workload, GistOptions{}, seed);
     server.AddTrace(std::move(run.trace));
   }
   Result<FailureSketch> sketch = server.BuildSketch();
@@ -243,7 +244,7 @@ TEST_F(PipelineTest, MonitoredRunOverheadIsSmall) {
   server.ReportFailure(FailingReport());
   Workload workload;
   workload.schedule_seed = passing_seed_;
-  MonitoredRun run = RunMonitored(*module_, server.plan(), workload, GistOptions{}, 1);
+  MonitoredRun run = RunMonitored(*module_, server.Snapshot(), 0, workload, GistOptions{}, 1);
   ASSERT_GT(run.trace.baseline_instructions, 0u);
   const double overhead = GistClientOverheadPercent(CostModel{}, run.trace.baseline_instructions,
                                                     run.trace.activity);

@@ -112,7 +112,7 @@ TEST_F(GistServerTest, RefinementAddsDiscoveredStatementsToPlans) {
   ASSERT_TRUE(server.discovered_instrs().empty());
 
   // A monitored failing run traps setter's store (outside the static slice).
-  MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, GistOptions{}, 1);
+  MonitoredRun run = RunMonitored(*module_, server.Snapshot(), 0, Workload{}, GistOptions{}, 1);
   ASSERT_FALSE(run.result.ok());
   server.AddTrace(std::move(run.trace));
 
@@ -144,7 +144,7 @@ TEST_F(GistServerTest, SuccessfulTracesAlwaysKept) {
 TEST_F(GistServerTest, ReportResetsState) {
   GistServer server(*module_);
   server.ReportFailure(report_);
-  MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, GistOptions{}, 1);
+  MonitoredRun run = RunMonitored(*module_, server.Snapshot(), 0, Workload{}, GistOptions{}, 1);
   RunTrace corrupt = run.trace;
   ASSERT_FALSE(corrupt.pt_buffers.empty());
   corrupt.pt_buffers[0] = {0xff};  // not a packet header
@@ -161,7 +161,7 @@ TEST_F(GistServerTest, ReportResetsState) {
   EXPECT_TRUE(server.discovered_instrs().empty());
   EXPECT_EQ(server.quarantined_traces(), 0u);
   EXPECT_EQ(server.CampaignState().quarantined, 0u);
-  MonitoredRun next = RunMonitored(*module_, server.plan(), Workload{}, GistOptions{}, 2);
+  MonitoredRun next = RunMonitored(*module_, server.Snapshot(), 0, Workload{}, GistOptions{}, 2);
   server.AddTrace(std::move(next.trace));
   Result<FailureSketch> sketch = server.BuildSketch();
   ASSERT_TRUE(sketch.ok()) << sketch.error().message();

@@ -72,10 +72,7 @@ const std::vector<Export>& RealExports() {
         [&app](uint64_t run_index, Rng& rng) { return app->MakeWorkload(run_index, rng); },
         options);
     const std::vector<InstrId>& root_cause = app->root_cause_instrs();
-    fleet.Run([&](const FailureSketch& sketch) {
-      return std::all_of(root_cause.begin(), root_cause.end(),
-                         [&](InstrId id) { return sketch.Contains(id); });
-    });
+    fleet.Run([&](const FailureSketch& sketch) { return sketch.ContainsAll(root_cause); });
     out.push_back({"metrics", recorder.MetricsJson()});
     out.push_back({"trace", recorder.TraceJson()});
     out.push_back({"profile", profiler.ProfileJson()});

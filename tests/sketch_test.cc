@@ -68,7 +68,8 @@ class SketchTest : public ::testing::Test {
     for (uint64_t seed = 1; seed <= 10; ++seed) {
       Workload workload;
       workload.schedule_seed = seed;
-      MonitoredRun run = RunMonitored(*module_, server_->plan(), workload, GistOptions{}, seed);
+      MonitoredRun run =
+          RunMonitored(*module_, server_->Snapshot(), 0, workload, GistOptions{}, seed);
       server_->AddTrace(std::move(run.trace));
     }
   }

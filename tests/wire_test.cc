@@ -45,7 +45,7 @@ fine:
 
   GistServer server(*keep_alive);
   server.ReportFailure(probe_result.failure);
-  MonitoredRun run = RunMonitored(*keep_alive, server.plan(), Workload{}, GistOptions{}, 42);
+  MonitoredRun run = RunMonitored(*keep_alive, server.Snapshot(), 0, Workload{}, GistOptions{}, 42);
   return run.trace;
 }
 
@@ -232,7 +232,7 @@ entry:
 
   GistServer server(**module);
   server.ReportFailure(probe_result.failure);
-  MonitoredRun run = RunMonitored(**module, server.plan(), Workload{}, GistOptions{}, 1);
+  MonitoredRun run = RunMonitored(**module, server.Snapshot(), 0, Workload{}, GistOptions{}, 1);
 
   Result<RunTrace> shipped = DeserializeRunTrace(SerializeRunTrace(run.trace));
   ASSERT_TRUE(shipped.ok());

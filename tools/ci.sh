@@ -188,6 +188,26 @@ print(f"campaign journal OK: {len(iterations)} iterations, "
       f"trend={status['trend']}, eta={status['eta_bucket']}")
 EOF
   ./build-ci-release/gist status build-ci-release/campaign_j1.json
+  # `gist diagnose` runs a .gir program on the same fleet. producer_consumer's
+  # plan watches more accesses than the 4 debug registers, so this drives the
+  # §3.2.3 watchpoint rotation through the CLI; its stdout and journal must be
+  # byte-identical across worker counts and under the shadow check.
+  echo "=== [release] gist diagnose determinism ==="
+  ./build-ci-release/gist diagnose examples/programs/producer_consumer.gir --runs 64 \
+    --jobs 1 --campaign-json build-ci-release/diagnose_j1.json >build-ci-release/diagnose_j1.txt
+  GIST_STATS_SHADOW=1 ./build-ci-release/gist diagnose examples/programs/producer_consumer.gir \
+    --runs 64 --jobs 8 --campaign-json build-ci-release/diagnose_j8.json \
+    >build-ci-release/diagnose_j8.txt
+  cmp build-ci-release/diagnose_j1.json build-ci-release/diagnose_j8.json
+  cmp build-ci-release/diagnose_j1.txt build-ci-release/diagnose_j8.txt
+  python3 - <<'EOF'
+import json
+with open("build-ci-release/diagnose_j1.json") as f:
+    journal = json.load(f)
+rotations = max(it["rotations"] for it in journal["iterations"])
+assert rotations > 0, "producer_consumer no longer rotates watchpoints"
+print(f"gist diagnose determinism OK: {rotations} watchpoint rotations")
+EOF
   # Corpus accuracy gate (DESIGN.md §13): generate the fixed-seed quick
   # corpus, diagnose every program end to end, and floor the aggregate rates
   # against the committed BENCH_corpus.json. Strict: a missing or empty

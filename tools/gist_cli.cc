@@ -11,9 +11,12 @@
 //   gist trace <program.gir> [--seed N] [--inputs a,b,c]
 //       Run under full Intel PT tracing; dump per-core packet streams and
 //       the decoded visits.
-//   gist diagnose <program.gir> [--runs N] [--inputs a,b,c]
-//       Full Gist loop over seeds 1..N as the production fleet; print the
-//       failure sketch.
+//   gist diagnose <program.gir> [--seed N] [--runs N] [--inputs a,b,c] [--jobs N]
+//       Run the cooperative fleet over the program and print its failure
+//       sketch. Fleet run k executes seed --seed + k: the first --runs runs
+//       wait for the failure, then every AsT iteration monitors up to --runs
+//       runs, until the window covers the whole slice. The output is
+//       identical for every --jobs and --tier.
 //   gist apps
 //       List the bundled bug reproductions.
 //   gist diagnose-app <name> [--fleet-seed N] [--jobs N]
@@ -92,8 +95,10 @@ struct CliOptions {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: gist <run|slice|trace|diagnose> <program.gir> "
+               "usage: gist <run|slice|trace> <program.gir> "
                "[--seed N] [--runs N] [--inputs a,b,c]\n"
+               "       gist diagnose <program.gir> [--seed N] [--runs N] [--inputs a,b,c]\n"
+               "           [--jobs N]\n"
                "       gist apps\n"
                "       gist diagnose-app <name> [--fleet-seed N] [--jobs N]\n"
                "       gist fix-app <name> [--fleet-seed N] [--jobs N]\n"
@@ -115,9 +120,10 @@ int Usage() {
                "  --metrics-json <path>   write the deterministic metrics snapshot\n"
                "                          (diagnose/diagnose-app/fix-app/corpus run|score)\n"
                "  --trace-json <path>     write the virtual-time span trace in Chrome\n"
-               "                          trace-event format (diagnose-app/fix-app/corpus)\n"
+               "                          trace-event format (diagnose/diagnose-app/fix-app/\n"
+               "                          corpus)\n"
                "  --profile-json <path>   write the deterministic hot-path profile\n"
-               "                          (gist.profile.v1; diagnose-app/fix-app)\n"
+               "                          (gist.profile.v1; diagnose/diagnose-app/fix-app)\n"
                "  --profile-collapsed <path>  write collapsed flamegraph stacks\n"
                "                          (app;function;block count per line)\n"
                "  --campaign-json <path>  write the sketch-convergence journal\n"
@@ -126,17 +132,14 @@ int Usage() {
   return 2;
 }
 
-// Applies --tier to the fleet's GistOptions; false (with a message) on an
-// unknown tier name.
-bool ApplyTier(const CliOptions& options, FleetOptions* fleet_options) {
-  if (options.tier.empty()) {
+// Applies a --tier value to `*tier` (empty keeps the default); false (with a
+// message) on an unknown tier name.
+bool ApplyTier(const std::string& name, ExecTier* tier) {
+  if (name.empty() || ParseExecTier(name, tier)) {
     return true;
   }
-  if (!ParseExecTier(options.tier, &fleet_options->gist.tier)) {
-    std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n", options.tier.c_str());
-    return false;
-  }
-  return true;
+  std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n", name.c_str());
+  return false;
 }
 
 // Consumes the value of the numeric flag argv[*i] into `*out`. The value
@@ -172,7 +175,7 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
         return false;
       }
     } else if (arg == "--runs") {
-      if (!NextUint(argc, argv, &i, &options->runs)) {
+      if (!NextUint(argc, argv, &i, &options->runs, UINT32_MAX)) {
         return false;
       }
     } else if (arg == "--fleet-seed") {
@@ -267,10 +270,12 @@ int CmdRun(const CliOptions& options) {
   return 0;
 }
 
-// Sweeps seeds from options.seed until the program fails; false if it never does.
+// Sweeps options.runs seeds from options.seed (wrapping past UINT64_MAX)
+// until the program fails; false if it never does.
 bool FindFailure(const Module& module, const CliOptions& options, FailureReport* report,
                  uint64_t* failing_seed) {
-  for (uint64_t seed = options.seed; seed < options.seed + options.runs; ++seed) {
+  for (uint64_t k = 0; k < options.runs; ++k) {
+    const uint64_t seed = options.seed + k;
     Vm vm(module, MakeWorkload(options, seed), VmOptions{});
     RunResult result = vm.Run();
     if (!result.ok() && result.failure.failing_instr != kNoInstr) {
@@ -360,100 +365,75 @@ int CmdTrace(const CliOptions& options) {
   return 0;
 }
 
+// Runs the cooperative fleet the way every fleet-backed command does:
+// --fleet-seed, --jobs and --tier applied, a flight recorder attached, the
+// profiler and campaign tracker attached when an export asks for them, and
+// the requested exports written afterwards. Returns 0, or the exit code the
+// command returns: 2 for an unknown tier, 1 when an export cannot be written.
+int RunCliFleet(const CliOptions& options, const Module& module, const std::string& title,
+                WorkloadGenerator generator, const RootCauseCheck& root_cause_check,
+                FleetOptions fleet_options, FleetResult* result) {
+  fleet_options.fleet_seed = options.fleet_seed;
+  fleet_options.jobs = static_cast<uint32_t>(options.jobs);
+  fleet_options.gist.title = title;
+  if (!ApplyTier(options.tier, &fleet_options.gist.tier)) {
+    return 2;
+  }
+  FlightRecorder recorder;
+  HotPathProfiler profiler;
+  CampaignTracker campaign(title);
+  fleet_options.recorder = &recorder;
+  if (options.exports.wants_profiler()) {
+    fleet_options.profiler = &profiler;
+  }
+  if (options.exports.wants_campaign()) {
+    fleet_options.campaign = &campaign;
+  }
+  Fleet fleet(module, std::move(generator), fleet_options);
+  *result = fleet.Run(root_cause_check);
+  return ExportTelemetry(options.exports, &recorder, &profiler, &campaign) ? 0 : 1;
+}
+
+// RunCliFleet over a bundled app, stopping once a sketch shows its root cause.
+int RunAppFleet(const CliOptions& options, const BugApp& app, FleetResult* result) {
+  return RunCliFleet(
+      options, app.module(), app.info().name,
+      [&app](uint64_t run_index, Rng& rng) { return app.MakeWorkload(run_index, rng); },
+      [&app](const FailureSketch& sketch) { return sketch.ContainsAll(app.root_cause_instrs()); },
+      FleetOptions{}, result);
+}
+
 int CmdDiagnose(const CliOptions& options) {
   auto module = LoadProgram(options.path);
   if (!module.ok()) {
     std::fprintf(stderr, "error: %s\n", module.error().message().c_str());
     return 1;
   }
-  FailureReport report;
-  uint64_t failing_seed = 0;
-  if (!FindFailure(**module, options, &report, &failing_seed)) {
+  // Run k executes seed --seed + k, so the first-failure phase probes the
+  // seeds `gist slice` sweeps. With no root-cause check to satisfy, the AsT
+  // window grows until it covers the whole slice.
+  FleetOptions fleet_options;
+  fleet_options.runs_per_iteration = static_cast<uint32_t>(options.runs);
+  fleet_options.max_first_failure_runs = static_cast<uint32_t>(options.runs);
+  FleetResult result;
+  const int code = RunCliFleet(
+      options, **module, options.path,
+      [&options](uint64_t run_index, Rng&) {
+        return MakeWorkload(options, options.seed + run_index);
+      },
+      [](const FailureSketch&) { return false; }, fleet_options, &result);
+  if (code != 0) {
+    return code;
+  }
+  if (!result.first_failure_found) {
     std::printf("no failure in %llu runs\n", static_cast<unsigned long long>(options.runs));
     return 1;
   }
-
-  GistOptions gist_options;
-  gist_options.title = options.path;
-  GistServer server(**module, gist_options);
-  server.ReportFailure(report);
-  CampaignTracker campaign(options.path);
-
-  // Run the production fleet until the window stops growing, then print.
-  // Every monitored run gets a fresh run identity: the same seed re-executes
-  // under each AsT window, and the server's run-identity dedup must see those
-  // as distinct runs, not duplicate uploads.
-  uint64_t next_run_id = 1;
-  for (;;) {
-    uint32_t failing = 0;
-    uint32_t successful = 0;
-    uint32_t quarantined = 0;
-    for (uint64_t seed = options.seed; seed < options.seed + options.runs; ++seed) {
-      MonitoredRun run = RunMonitored(**module, server.plan(), MakeWorkload(options, seed),
-                                      gist_options, next_run_id++);
-      campaign.AdvanceClock(run.result.stats.steps);
-      const bool run_failed = run.trace.failed;
-      switch (server.AddTrace(std::move(run.trace))) {
-        case GistServer::TraceIngest::kAccepted:
-          ++(run_failed ? failing : successful);
-          break;
-        case GistServer::TraceIngest::kQuarantined:
-          ++quarantined;
-          break;
-        case GistServer::TraceIngest::kRejectedForeign:
-          break;
-      }
-    }
-    if (options.exports.wants_campaign()) {
-      const GistCampaignState state = server.CampaignState();
-      CampaignIterationSample sample;
-      sample.iteration = state.iteration;
-      sample.sigma = state.sigma;
-      sample.virtual_end = campaign.now();
-      sample.failing_runs = failing;
-      sample.successful_runs = successful;
-      sample.quarantined_runs = quarantined;
-      sample.recurrences = state.recurrences;
-      sample.watch_instrs = static_cast<uint32_t>(server.plan().watch_instrs.size());
-      sample.watchpoint_slots = gist_options.watchpoint_slots;
-      sample.slice_statements = state.slice_statements;
-      sample.window_statements = state.window_statements;
-      sample.slice_exhausted = state.slice_exhausted;
-      if (Result<FailureSketch> iteration_sketch = server.BuildSketch(); iteration_sketch.ok()) {
-        for (const SketchStatement& statement : iteration_sketch->statements) {
-          sample.sketch_statements.push_back(statement.instr);
-        }
-      }
-      const std::vector<ScoredPredictor>& ranked = server.behavior().stats().Ranked();
-      const size_t top = std::min<size_t>(ranked.size(), CampaignTracker::kRankWindow);
-      for (size_t r = 0; r < top; ++r) {
-        sample.top_predictors.push_back(PredictorToString(ranked[r].predictor, **module));
-      }
-      campaign.RecordIteration(std::move(sample));
-    }
-    if (server.ExhaustedSlice()) {
-      break;
-    }
-    server.AdvanceAst();
-  }
-
-  Result<FailureSketch> sketch = server.BuildSketch();
-  if (!sketch.ok()) {
-    std::fprintf(stderr, "no sketch: %s\n", sketch.error().message().c_str());
+  if (result.failure_recurrences == 0) {
+    std::fprintf(stderr, "no sketch: no failing run collected yet\n");
     return 1;
   }
-  std::printf("%s", RenderFailureSketch(**module, *sketch).c_str());
-  // `diagnose` drives the server directly (no fleet, no flight recorder), so
-  // --metrics-json means the server's own registry here.
-  if (!options.exports.metrics_json.empty() &&
-      !WriteTelemetryFile(options.exports.metrics_json, server.metrics().ToJson())) {
-    return 1;
-  }
-  TelemetryExportOptions rest = options.exports;
-  rest.metrics_json.clear();
-  if (!ExportTelemetry(rest, nullptr, nullptr, &campaign)) {
-    return 1;
-  }
+  std::printf("%s", RenderFailureSketch(**module, result.sketch).c_str());
   return 0;
 }
 
@@ -472,36 +452,9 @@ int CmdDiagnoseApp(const CliOptions& options) {
     std::fprintf(stderr, "unknown app '%s' (try `gist apps`)\n", options.path.c_str());
     return 1;
   }
-  FlightRecorder recorder;
-  HotPathProfiler profiler;
-  CampaignTracker campaign(app->info().name);
-  FleetOptions fleet_options;
-  fleet_options.fleet_seed = options.fleet_seed;
-  fleet_options.jobs = static_cast<uint32_t>(options.jobs);
-  fleet_options.gist.title = app->info().name;
-  fleet_options.recorder = &recorder;
-  if (!ApplyTier(options, &fleet_options)) {
-    return 2;
-  }
-  if (options.exports.wants_profiler()) {
-    fleet_options.profiler = &profiler;
-  }
-  if (options.exports.wants_campaign()) {
-    fleet_options.campaign = &campaign;
-  }
-  Fleet fleet(app->module(),
-              [&](uint64_t ri, Rng& rng) { return app->MakeWorkload(ri, rng); }, fleet_options);
-  const std::vector<InstrId>& root_cause = app->root_cause_instrs();
-  FleetResult result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
-  });
-  if (!ExportTelemetry(options.exports, &recorder, &profiler, &campaign)) {
-    return 1;
+  FleetResult result;
+  if (const int code = RunAppFleet(options, *app, &result); code != 0) {
+    return code;
   }
   if (!result.first_failure_found) {
     std::printf("the bug never manifested\n");
@@ -535,36 +488,9 @@ int CmdFixApp(const CliOptions& options) {
     std::fprintf(stderr, "unknown app '%s' (try `gist apps`)\n", options.path.c_str());
     return 1;
   }
-  FlightRecorder recorder;
-  HotPathProfiler profiler;
-  CampaignTracker campaign(app->info().name);
-  FleetOptions fleet_options;
-  fleet_options.fleet_seed = options.fleet_seed;
-  fleet_options.jobs = static_cast<uint32_t>(options.jobs);
-  fleet_options.gist.title = app->info().name;
-  fleet_options.recorder = &recorder;
-  if (!ApplyTier(options, &fleet_options)) {
-    return 2;
-  }
-  if (options.exports.wants_profiler()) {
-    fleet_options.profiler = &profiler;
-  }
-  if (options.exports.wants_campaign()) {
-    fleet_options.campaign = &campaign;
-  }
-  Fleet fleet(app->module(),
-              [&](uint64_t ri, Rng& rng) { return app->MakeWorkload(ri, rng); }, fleet_options);
-  const std::vector<InstrId>& root_cause = app->root_cause_instrs();
-  FleetResult result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
-  });
-  if (!ExportTelemetry(options.exports, &recorder, &profiler, &campaign)) {
-    return 1;
+  FleetResult result;
+  if (const int code = RunAppFleet(options, *app, &result); code != 0) {
+    return code;
   }
   if (!result.root_cause_found) {
     std::printf("diagnosis incomplete; cannot synthesize a fix\n");
@@ -862,8 +788,7 @@ int CmdCorpusRun(const CorpusCliArgs& args, bool gate) {
 
   CorpusScoreOptions score_options;
   score_options.jobs = static_cast<uint32_t>(args.jobs);
-  if (!args.tier.empty() && !ParseExecTier(args.tier, &score_options.tier)) {
-    std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n", args.tier.c_str());
+  if (!ApplyTier(args.tier, &score_options.tier)) {
     return 2;
   }
   if (args.chaos) {
