@@ -117,7 +117,7 @@ void Fleet::FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* ne
       // Same consumed-prefix discipline as the recorder: probes speculated
       // past the winner never reach the profile.
       for (uint32_t k = 0; k < probes_consumed; ++k) {
-        profiler->AddRun(probe_profiles[k], probe_stats[k]);
+        profiler->AddRun(probe_profiles[k]);
       }
     }
     if (winner != batch) {
@@ -263,7 +263,7 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
           // Every consumed run contributes its shard — lost and quarantined
           // runs included, exactly like the recorder's clock — so the merged
           // profile is a pure function of the consumed prefix.
-          profiler->AddRun(run.profile, run.result.stats, run.obs);
+          profiler->AddRun(run.profile, run.obs);
         }
         auto record_run_span = [&](const char* outcome) {
           if (recorder != nullptr) {

@@ -114,10 +114,7 @@ RunObsSample ClientRuntime::Sample() const {
   obs.watch_denied_arms = watchpoints_.denied_arms();
   obs.watch_peak_active = watchpoints_.peak_active();
   obs.unarmed_accesses = unarmed_.size();
-  // Profiler attribution (DESIGN.md §10). The runtime is the run's single
-  // attached observer; its declared mask stands in for the dispatch cost of
-  // the whole observer set.
-  obs.observer_masks.push_back(SubscribedEvents());
+  // Profiler attribution (DESIGN.md §10).
   obs.watch_slot_arms = watchpoints_.slot_arms();
   obs.watch_slot_traps = watchpoints_.slot_traps();
   obs.watch_traps_by_instr.assign(watchpoints_.traps_by_instr().begin(),

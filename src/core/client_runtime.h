@@ -32,10 +32,8 @@ struct RunObsSample {
   uint64_t watch_denied_arms = 0; // arm requests denied (all slots busy)
   uint32_t watch_peak_active = 0; // most debug registers simultaneously armed
   uint64_t unarmed_accesses = 0;  // tracked accesses left to fleet rotation
-  // Profiler attribution (DESIGN.md §10): the declared SubscribedEvents()
-  // mask of each attached observer, per-debug-register contention, and trap
-  // counts per trapping instruction.
-  std::vector<uint32_t> observer_masks;
+  // Profiler attribution (DESIGN.md §10): per-debug-register contention and
+  // trap counts per trapping instruction.
   std::vector<uint64_t> watch_slot_arms;
   std::vector<uint64_t> watch_slot_traps;
   std::vector<std::pair<InstrId, uint64_t>> watch_traps_by_instr;

@@ -86,8 +86,7 @@ std::string FlightRecorder::TraceJson() const {
 }
 
 RunMetricsPublisher::RunMetricsPublisher(MetricsRegistry* metrics)
-    : metrics_(metrics),
-      vm_retired_(metrics->CounterSlot("vm.instructions_retired")),
+    : vm_retired_(metrics->CounterSlot("vm.instructions_retired")),
       vm_mem_accesses_(metrics->CounterSlot("vm.mem_accesses")),
       vm_branches_(metrics->CounterSlot("vm.branches")),
       vm_context_switches_(metrics->CounterSlot("vm.context_switches")),
@@ -96,12 +95,6 @@ RunMetricsPublisher::RunMetricsPublisher(MetricsRegistry* metrics)
       vm_returns_(metrics->CounterSlot("vm.returns")),
       vm_thread_events_(metrics->CounterSlot("vm.thread_events")),
       vm_run_steps_(metrics->HistogramSlot("vm.run_steps")),
-      engine_bursts_(metrics->CounterSlot("engine.bursts")),
-      engine_batch_deliveries_(metrics->CounterSlot("engine.batch_deliveries")),
-      engine_flushed_retired_(metrics->CounterSlot("engine.flushed_retired_events")),
-      engine_flushed_mem_(metrics->CounterSlot("engine.flushed_mem_events")),
-      engine_dispatched_(metrics->CounterSlot("engine.dispatched_events")),
-      engine_flush_size_(metrics->HistogramSlot("engine.flush_size")),
       monitored_runs_(metrics->CounterSlot("vm.monitored_runs")),
       pt_bytes_(metrics->CounterSlot("pt.encode.bytes")),
       pt_toggles_(metrics->CounterSlot("pt.encode.toggles")),
@@ -122,15 +115,6 @@ void RunMetricsPublisher::PublishVm(const RunStats& stats) {
   *vm_returns_ += stats.returns;
   *vm_thread_events_ += stats.thread_events;
   vm_run_steps_->Observe(stats.steps);
-  *engine_bursts_ += stats.bursts;
-  *engine_batch_deliveries_ += stats.batch_deliveries;
-  *engine_flushed_retired_ += stats.flushed_retired_events;
-  *engine_flushed_mem_ += stats.flushed_mem_events;
-  *engine_dispatched_ += stats.dispatched_events;
-  // Same fold as MetricsRegistry::MergeBuckets, straight into the slot.
-  metrics_->MergeBuckets("engine.flush_size", stats.flush_size_log2,
-                         RunStats::kFlushSizeBuckets, stats.batch_deliveries,
-                         stats.flushed_retired_events + stats.flushed_mem_events);
 }
 
 void RunMetricsPublisher::Publish(const MonitoredRun& run) {

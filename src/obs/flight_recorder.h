@@ -86,9 +86,7 @@ class FlightRecorder {
   double annotation(std::string_view name, double missing = 0.0) const;
 
   // Deterministic exports.
-  std::string MetricsJson(std::string_view exclude_prefix = {}) const {
-    return metrics_.ToJson(exclude_prefix);
-  }
+  std::string MetricsJson() const { return metrics_.ToJson(); }
   std::string TraceJson() const;  // Chrome trace-event format
 
  private:
@@ -107,16 +105,14 @@ class RunMetricsPublisher {
  public:
   explicit RunMetricsPublisher(MetricsRegistry* metrics);
 
-  // Mode-independent VM counters ("vm.") + dispatch-engine telemetry
-  // ("engine.") of one run.
+  // The VM counters ("vm.") of one run.
   void PublishVm(const RunStats& stats);
   // Everything a consumed monitored run contributes: PublishVm plus
   // PT-encode ("pt.encode.") and watchpoint ("hw.watch.") activity.
   void Publish(const MonitoredRun& run);
 
  private:
-  MetricsRegistry* metrics_;
-  // "vm." / "engine." slots.
+  // "vm." slots.
   uint64_t* vm_retired_;
   uint64_t* vm_mem_accesses_;
   uint64_t* vm_branches_;
@@ -126,12 +122,6 @@ class RunMetricsPublisher {
   uint64_t* vm_returns_;
   uint64_t* vm_thread_events_;
   Histogram* vm_run_steps_;
-  uint64_t* engine_bursts_;
-  uint64_t* engine_batch_deliveries_;
-  uint64_t* engine_flushed_retired_;
-  uint64_t* engine_flushed_mem_;
-  uint64_t* engine_dispatched_;
-  Histogram* engine_flush_size_;
   // Monitored-run slots.
   uint64_t* monitored_runs_;
   uint64_t* pt_bytes_;

@@ -20,12 +20,9 @@ uint64_t TrapCycles() {
   return static_cast<uint64_t>(CostModel{}.cycles_per_watch_trap);
 }
 
-// Event classes in ObservedEvents bit order; the names label the dispatch
-// breakdown in the JSON export.
-constexpr const char* kEventNames[7] = {
-    "context_switch", "block_enter", "branch",          "mem_access",
-    "return",         "instr_retired", "thread_lifecycle",
-};
+// Hot chains exported under "hot_chains", and blocks per chain.
+constexpr uint32_t kHotChainCount = 5;
+constexpr uint32_t kHotChainMaxLen = 8;
 
 std::string U64(uint64_t value) {
   return StrFormat("%llu", static_cast<unsigned long long>(value));
@@ -41,8 +38,6 @@ void HotPathProfiler::Attach(const DecodedModule& decoded, std::string app) {
   total_ = BlockProfile{};
   total_.EnsureSize(decoded.num_blocks());
   runs_ = 0;
-  std::fill(std::begin(events_), std::end(events_), 0);
-  masks_.clear();
   watch_denied_arms_ = 0;
   watch_slot_arms_.clear();
   watch_slot_traps_.clear();
@@ -72,28 +67,10 @@ void HotPathProfiler::Attach(const DecodedModule& decoded, std::string app) {
   }
 }
 
-void HotPathProfiler::AddRun(const BlockProfile& blocks, const RunStats& stats,
-                             const RunObsSample& obs) {
+void HotPathProfiler::AddRun(const BlockProfile& blocks, const RunObsSample& obs) {
   GIST_CHECK(attached_) << "HotPathProfiler::AddRun before Attach";
   total_.Merge(blocks);
   ++runs_;
-
-  const uint64_t class_counts[7] = {
-      stats.context_switches, stats.block_enters, stats.branches, stats.mem_accesses,
-      stats.returns,          stats.steps,        stats.thread_events,
-  };
-  for (uint32_t bit = 0; bit < 7; ++bit) {
-    events_[bit] += class_counts[bit];
-  }
-  for (uint32_t mask : obs.observer_masks) {
-    MaskCost& cost = masks_[mask];
-    ++cost.observers;
-    for (uint32_t bit = 0; bit < 7; ++bit) {
-      if (mask & (1u << bit)) {
-        cost.selected += class_counts[bit];
-      }
-    }
-  }
 
   watch_denied_arms_ += obs.watch_denied_arms;
   if (watch_slot_arms_.size() < obs.watch_slot_arms.size()) {
@@ -191,7 +168,7 @@ std::string HotPathProfiler::ProfileJson() const {
   std::vector<bool> seeded(info_.size(), false);
   uint32_t chains = 0;
   for (uint32_t seed : order) {
-    if (chains >= options_.hot_chain_count || total_.retired[seed] == 0) {
+    if (chains >= kHotChainCount || total_.retired[seed] == 0) {
       break;
     }
     if (seeded[seed]) {
@@ -201,7 +178,7 @@ std::string HotPathProfiler::ProfileJson() const {
     std::vector<bool> in_chain(info_.size(), false);
     uint64_t chain_retired = 0;
     uint32_t at = seed;
-    while (chain.size() < options_.hot_chain_max_len && !in_chain[at]) {
+    while (chain.size() < kHotChainMaxLen && !in_chain[at]) {
       chain.push_back(at);
       in_chain[at] = true;
       seeded[at] = true;
@@ -250,23 +227,6 @@ std::string HotPathProfiler::ProfileJson() const {
     out += StrFormat("%s{\"instr\": %u, \"traps\": %llu, \"cycles\": %llu}", first ? "" : ", ",
                      instr, static_cast<unsigned long long>(traps),
                      static_cast<unsigned long long>(traps * trap_cycles));
-    first = false;
-  }
-  out += "]},\n";
-
-  // Observer-dispatch cost per subscriber mask, from the declared masks and
-  // the mode-independent event tallies.
-  out += "  \"dispatch\": {\"events\": {";
-  for (uint32_t bit = 0; bit < 7; ++bit) {
-    out += StrFormat("%s\"%s\": %llu", bit == 0 ? "" : ", ", kEventNames[bit],
-                     static_cast<unsigned long long>(events_[bit]));
-  }
-  out += "}, \"masks\": [";
-  first = true;
-  for (const auto& [mask, cost] : masks_) {
-    out += StrFormat("%s{\"mask\": %u, \"observers\": %llu, \"selected\": %llu}",
-                     first ? "" : ", ", mask, static_cast<unsigned long long>(cost.observers),
-                     static_cast<unsigned long long>(cost.selected));
     first = false;
   }
   out += "]}\n";

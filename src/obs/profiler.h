@@ -2,15 +2,13 @@
 //
 // Ticks on the virtual-time clock — retired instructions — never wall time,
 // so a profile is a pure function of (module, options, fleet_seed) like every
-// other pipeline artifact. Collection has three sources:
+// other pipeline artifact. Collection has two sources:
 //
-//   * the interpreter's fast path bumps per-basic-block retired-instruction
-//     and execution counters plus taken/not-taken edge counts into a
+//   * the interpreter bumps per-basic-block retired-instruction and
+//     execution counters plus taken/not-taken edge counts into a
 //     BlockProfile shard the caller owns (VmOptions::profile);
 //   * the watchpoint unit (src/hw) attributes debug-register slot occupancy
-//     and trap cost per arming slot and per trapping instruction;
-//   * the dispatch breakdown derives per-subscriber-mask delivery cost from
-//     the mode-independent event tallies in RunStats.
+//     and trap cost per arming slot and per trapping instruction.
 //
 // Shards aggregate per run and merge on the fleet coordinator in run-index
 // order over the consumed prefix only — exactly the FleetResult / flight
@@ -23,9 +21,9 @@
 // committed BENCH_profile.json baseline.
 //
 // BlockProfile lives with its only writer in src/vm/block_profile.h
-// (header-only, so the VM never links the obs library); a run's event tallies
-// come from its RunStats and its watchpoint attribution from the RunObsSample
-// of the client runtime (src/core/client_runtime.h).
+// (header-only, so the VM never links the obs library); a run's watchpoint
+// attribution comes from the RunObsSample of the client runtime
+// (src/core/client_runtime.h).
 
 #ifndef GIST_SRC_OBS_PROFILER_H_
 #define GIST_SRC_OBS_PROFILER_H_
@@ -39,7 +37,6 @@
 #include "src/core/client_runtime.h"
 #include "src/ir/ids.h"
 #include "src/vm/block_profile.h"
-#include "src/vm/vm.h"
 
 namespace gist {
 
@@ -51,22 +48,11 @@ class MetricsRegistry;
 // shard in — the fleet calls it in run-index order, making every export
 // deterministic.
 //
-// AddRun reads the run's mode-independent event tallies from `stats` (for the
-// per-mask dispatch breakdown) and the observer masks and watchpoint
-// attribution from `obs`. Unmonitored phase-1 probes have no client runtime
-// and pass the default, empty sample. Observer masks are the declared
-// SubscribedEvents(), not the effective mask, so reference dispatch (which
-// forces kEvAll) produces the same breakdown as the fast path.
+// AddRun reads the run's watchpoint attribution from `obs`. Unmonitored
+// phase-1 probes have no client runtime and pass the default, empty sample.
 class HotPathProfiler {
  public:
-  struct Options {
-    uint32_t hot_chain_count = 5;   // chains exported under "hot_chains"
-    uint32_t hot_chain_max_len = 8; // blocks per chain
-  };
-
   HotPathProfiler() = default;
-  explicit HotPathProfiler(Options options) : options_(options) {}
-
   HotPathProfiler(const HotPathProfiler&) = delete;
   HotPathProfiler& operator=(const HotPathProfiler&) = delete;
 
@@ -75,13 +61,13 @@ class HotPathProfiler {
   void Attach(const DecodedModule& decoded, std::string app);
   bool attached() const { return attached_; }
 
-  void AddRun(const BlockProfile& blocks, const RunStats& stats, const RunObsSample& obs = {});
+  void AddRun(const BlockProfile& blocks, const RunObsSample& obs = {});
   uint64_t runs() const { return runs_; }
   const BlockProfile& totals() const { return total_; }
 
   // Stable sorted JSON ("gist.profile.v1"): totals, per-block histograms,
-  // CFG edge profile, ranked hot chains, watchpoint attribution, dispatch
-  // breakdown. Integers only; byte-identical across platforms.
+  // CFG edge profile, ranked hot chains, watchpoint attribution. Integers
+  // only; byte-identical across platforms.
   std::string ProfileJson() const;
   // Collapsed-stack flamegraph format: one "app;function;block count" line
   // per executed block, in block-index order.
@@ -102,22 +88,14 @@ class HotPathProfiler {
     uint32_t not_taken = kNoSuccessor;
     uint32_t jump = kNoSuccessor;
   };
-  struct MaskCost {
-    uint64_t observers = 0;  // observer-runs declaring this mask
-    uint64_t selected = 0;   // event payloads the mask selects across them
-  };
 
   static constexpr uint32_t kNoSuccessor = 0xffffffffu;
 
-  Options options_;
   bool attached_ = false;
   std::string app_;
   std::vector<BlockStatic> info_;
   BlockProfile total_;
   uint64_t runs_ = 0;
-  // Dispatch breakdown: mode-independent event class totals + per-mask cost.
-  uint64_t events_[7] = {};  // indexed by ObservedEvents bit position
-  std::map<uint32_t, MaskCost> masks_;
   // Watchpoint attribution.
   uint64_t watch_denied_arms_ = 0;
   std::vector<uint64_t> watch_slot_arms_;

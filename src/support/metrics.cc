@@ -15,10 +15,6 @@ uint32_t BucketFor(uint64_t value) {
   return std::min<uint32_t>(static_cast<uint32_t>(std::bit_width(value)), Histogram::kBuckets - 1);
 }
 
-bool HasPrefix(std::string_view name, std::string_view prefix) {
-  return !prefix.empty() && name.substr(0, prefix.size()) == prefix;
-}
-
 }  // namespace
 
 void Histogram::Observe(uint64_t value) {
@@ -68,20 +64,6 @@ void MetricsRegistry::Observe(std::string_view name, uint64_t value) {
     it = histograms_.emplace(std::string(name), Histogram{}).first;
   }
   it->second.Observe(value);
-}
-
-void MetricsRegistry::MergeBuckets(std::string_view name, const uint32_t* buckets,
-                                   size_t bucket_count, uint64_t count, uint64_t sum) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), Histogram{}).first;
-  }
-  Histogram& hist = it->second;
-  for (size_t i = 0; i < bucket_count; ++i) {
-    hist.buckets[std::min<size_t>(i, Histogram::kBuckets - 1)] += buckets[i];
-  }
-  hist.count += count;
-  hist.sum += sum;
 }
 
 void MetricsRegistry::Merge(const MetricsRegistry& other) {
@@ -140,13 +122,10 @@ const Histogram* MetricsRegistry::histogram(std::string_view name) const {
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-std::string MetricsRegistry::ToJson(std::string_view exclude_prefix) const {
+std::string MetricsRegistry::ToJson() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : counters_) {
-    if (HasPrefix(name, exclude_prefix)) {
-      continue;
-    }
     out += StrFormat("%s\n    \"%s\": %llu", first ? "" : ",", name.c_str(),
                      static_cast<unsigned long long>(value));
     first = false;
@@ -156,9 +135,6 @@ std::string MetricsRegistry::ToJson(std::string_view exclude_prefix) const {
   out += "  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges_) {
-    if (HasPrefix(name, exclude_prefix)) {
-      continue;
-    }
     out += StrFormat("%s\n    \"%s\": %lld", first ? "" : ",", name.c_str(),
                      static_cast<long long>(value));
     first = false;
@@ -168,9 +144,6 @@ std::string MetricsRegistry::ToJson(std::string_view exclude_prefix) const {
   out += "  \"histograms\": {";
   first = true;
   for (const auto& [name, hist] : histograms_) {
-    if (HasPrefix(name, exclude_prefix)) {
-      continue;
-    }
     out += StrFormat("%s\n    \"%s\": {\"count\": %llu, \"sum\": %llu, \"buckets\": [",
                      first ? "" : ",", name.c_str(), static_cast<unsigned long long>(hist.count),
                      static_cast<unsigned long long>(hist.sum));

@@ -48,11 +48,6 @@ class MetricsRegistry {
   void SetMax(std::string_view name, int64_t value);
   // Histogram observation.
   void Observe(std::string_view name, uint64_t value);
-  // Folds a pre-bucketed shard (e.g. RunStats' flush-size array, which uses
-  // the same bucket definition) into the named histogram. Buckets past
-  // Histogram::kBuckets-1 clamp into the overflow bucket.
-  void MergeBuckets(std::string_view name, const uint32_t* buckets, size_t bucket_count,
-                    uint64_t count, uint64_t sum);
 
   // Merges another registry: counters and histograms add; gauges take the
   // other side's value (the caller merges shards in run-index order, so
@@ -77,10 +72,7 @@ class MetricsRegistry {
   bool empty() const { return counters_.empty() && gauges_.empty() && histograms_.empty(); }
 
   // Deterministic snapshot: sorted keys, integers only, stable layout.
-  // `exclude_prefix` drops every metric whose name starts with it — the
-  // determinism tests use it to compare fast-path and reference-dispatch
-  // fleets minus the engine-internal ("engine.") batching counters.
-  std::string ToJson(std::string_view exclude_prefix = {}) const;
+  std::string ToJson() const;
 
  private:
   std::map<std::string, uint64_t, std::less<>> counters_;

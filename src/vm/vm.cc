@@ -1,22 +1,10 @@
 #include "src/vm/vm.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "src/support/str.h"
 
 namespace gist {
-namespace {
-
-// Flush-size bucket: bit width clamped into RunStats' fixed array (matches
-// the obs::Histogram bucket convention, so the registry can fold the array
-// in directly).
-uint32_t FlushBucket(size_t size) {
-  return std::min<uint32_t>(static_cast<uint32_t>(std::bit_width(size)),
-                            RunStats::kFlushSizeBuckets - 1);
-}
-
-}  // namespace
 
 bool ParseExecTier(std::string_view text, ExecTier* tier) {
   if (text == "fast") {
@@ -105,11 +93,6 @@ void Vm::FlushBatches() {
     for (ExecutionObserver* observer : on_mem_batched_) {
       observer->OnMemAccessBatch(mem_batch_.data(), mem_batch_.size());
     }
-    RunStats& stats = result_.stats;
-    ++stats.batch_deliveries;
-    stats.flushed_mem_events += mem_batch_.size();
-    stats.dispatched_events += mem_batch_.size() * on_mem_batched_.size();
-    ++stats.flush_size_log2[FlushBucket(mem_batch_.size())];
     mem_batch_.clear();
   }
   if (!retired_batch_.empty()) {
@@ -117,11 +100,6 @@ void Vm::FlushBatches() {
       observer->OnInstrRetiredBatch(batch_tid_, batch_core_, retired_batch_.data(),
                                     retired_batch_.size());
     }
-    RunStats& stats = result_.stats;
-    ++stats.batch_deliveries;
-    stats.flushed_retired_events += retired_batch_.size();
-    stats.dispatched_events += retired_batch_.size() * on_retired_batched_.size();
-    ++stats.flush_size_log2[FlushBucket(retired_batch_.size())];
     retired_batch_.clear();
   }
 }
@@ -290,7 +268,6 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
       }
       MemAccessEvent event{seq, tid, core, instr.id, addr, value, is_write};
       if (!on_mem_immediate_.empty()) {
-        result_.stats.dispatched_events += on_mem_immediate_.size();
         for (ExecutionObserver* observer : on_mem_immediate_) {
           observer->OnMemAccess(event);
         }
@@ -304,7 +281,6 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
         return;
       }
       if (!on_retired_immediate_.empty()) {
-        result_.stats.dispatched_events += on_retired_immediate_.size();
         for (ExecutionObserver* observer : on_retired_immediate_) {
           observer->OnInstrRetired(tid, core, instr.id);
         }
@@ -762,7 +738,6 @@ RunResult Vm::Run() {
         burst = until_kill;
       }
     }
-    ++result_.stats.bursts;
     const uint64_t executed = StepBurst(*thread, burst);
     result_.stats.steps += executed;
     quantum -= std::min(executed, quantum);

@@ -40,9 +40,11 @@
 namespace gist {
 
 // Which interpreter executes monitored runs. The tier is a pure throughput
-// knob: FleetResult, PT streams, watch events, metrics, trace, and profile
-// exports are byte-identical across tiers (tests/vm_fastpath_test.cc,
-// tests/fleet_tier_test.cc).
+// knob: FleetResult, PT streams, watch events, and every export (metrics,
+// trace, profile, collapsed profile, campaign journal) are byte-identical
+// across tiers (tests/vm_fastpath_test.cc, tests/fleet_tier_test.cc,
+// tools/ci.sh). That holds only while RunStats counts mode-independent
+// events: a count of bursts or batch flushes would differ between tiers.
 enum class ExecTier : uint8_t {
   kFast = 0,       // pre-decoded StepBurst (DESIGN.md §7) — the default
   kReference = 1,  // unbatched dispatch, hook everywhere — the semantics oracle
@@ -97,28 +99,12 @@ struct RunStats {
   uint64_t branches = 0;
   uint64_t context_switches = 0;
   uint32_t threads_created = 0;
-  // Mode-independent event-class tallies (the profiler's dispatch breakdown
-  // divides per-mask delivery cost by these): basic-block entries, function
-  // returns, and thread start/exit events.
+  // Basic-block entries, function returns, and thread start/exit events,
+  // published as the flight recorder's vm.block_enters / vm.returns /
+  // vm.thread_events.
   uint64_t block_enters = 0;
   uint64_t returns = 0;
   uint64_t thread_events = 0;
-
-  // --- dispatch-engine telemetry (DESIGN.md §9) -----------------------------
-  // Counted per burst / per flush, never per instruction, so the fast path's
-  // cost is a handful of adds per scheduling quantum. These depend on the
-  // dispatch mode (batched vs reference) and land under the flight
-  // recorder's "engine." namespace, which the cross-interpreter determinism
-  // tests exclude; everything above is mode-independent.
-  uint64_t bursts = 0;                  // StepBurst invocations
-  uint64_t batch_deliveries = 0;        // non-empty batch buffers flushed
-  uint64_t flushed_retired_events = 0;  // retired events delivered batched
-  uint64_t flushed_mem_events = 0;      // mem-access events delivered batched
-  uint64_t dispatched_events = 0;       // observer callback payloads delivered
-  // Flush sizes bucketed by bit width (same convention as obs::Histogram:
-  // bucket i holds sizes with bit_width == i, last bucket absorbs wider).
-  static constexpr uint32_t kFlushSizeBuckets = 17;
-  uint32_t flush_size_log2[kFlushSizeBuckets] = {};
 };
 
 struct RunResult {
@@ -197,7 +183,6 @@ class Vm {
   template <typename Fn>
   void Dispatch(const std::vector<ExecutionObserver*>& list, Fn&& fn) {
     FlushBatches();
-    result_.stats.dispatched_events += list.size();
     for (ExecutionObserver* observer : list) {
       fn(*observer);
     }

@@ -54,12 +54,7 @@ FleetResult RunFleet(const BugApp& app, const FleetOptions& options,
       fleet_options);
   const std::vector<InstrId>& root_cause = app.root_cause_instrs();
   return fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
 }
 

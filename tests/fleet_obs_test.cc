@@ -3,9 +3,8 @@
 //      byte-identical for every worker count, with and without fault
 //      injection — the recorder only accounts the consumed prefix of runs,
 //      on the coordinator, in run-index order;
-//   2. a run publishes the same metrics under the fast-path interpreter and
-//      the reference dispatch for every Table 1 app, once the
-//      dispatch-engine-internal "engine." namespace is filtered out.
+//   2. a run publishes byte-identical metrics under the fast-path
+//      interpreter and the reference dispatch for every Table 1 app.
 
 #include <gtest/gtest.h>
 
@@ -61,12 +60,7 @@ RecordedFleet RunRecordedFleet(const BugApp& app, FleetOptions options) {
   const std::vector<InstrId>& root_cause = app.root_cause_instrs();
   RecordedFleet recorded;
   recorded.result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
   recorded.metrics_json = recorder.MetricsJson();
   recorded.trace_json = recorder.TraceJson();
@@ -114,12 +108,7 @@ TEST(FleetObsTest, RegistryAgreesWithFleetResultTallies) {
       options);
   const std::vector<InstrId>& root_cause = app->root_cause_instrs();
   const FleetResult result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
 
   const MetricsRegistry& metrics = recorder.metrics();
@@ -150,9 +139,7 @@ TEST(FleetObsTest, RegistryAgreesWithFleetResultTallies) {
 
 TEST(FleetObsTest, FastPathAndReferencePublishIdenticalMetricsOnAllApps) {
   // Everything a run contributes to the merged snapshot — vm.*, pt.encode.*,
-  // hw.watch.* — must be dispatch-mode independent. Only the "engine."
-  // namespace (burst/batch bookkeeping of the fast path) may differ, and the
-  // comparison filters exactly that prefix out.
+  // hw.watch.* — must be dispatch-mode independent, byte for byte.
   for (const std::unique_ptr<BugApp>& app : MakeAllApps()) {
     SCOPED_TRACE(app->info().name);
     const Module& module = app->module();
@@ -199,9 +186,7 @@ TEST(FleetObsTest, FastPathAndReferencePublishIdenticalMetricsOnAllApps) {
       ref_publisher.Publish(
           RunMonitored(module, snapshot, /*client_index=*/0, workload, reference));
     }
-    // The "engine." namespace is the fast path's batching bookkeeping and may
-    // differ between dispatch modes; everything else is byte-identical.
-    EXPECT_EQ(fast_metrics.ToJson("engine."), ref_metrics.ToJson("engine."));
+    EXPECT_EQ(fast_metrics.ToJson(), ref_metrics.ToJson());
     EXPECT_GT(fast_metrics.counter("vm.instructions_retired"), 0u);
     EXPECT_EQ(fast_metrics.counter("vm.instructions_retired"),
               ref_metrics.counter("vm.instructions_retired"));

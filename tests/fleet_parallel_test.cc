@@ -25,12 +25,7 @@ FleetResult RunFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs) {
       options);
   const std::vector<InstrId>& root_cause = app.root_cause_instrs();
   return fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
 }
 

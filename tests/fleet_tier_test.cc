@@ -1,10 +1,9 @@
 // Fleet-level tier contract: the execution tier (GistOptions::tier) is a
 // pure throughput knob. An all-reference-dispatch fleet must produce the same
-// FleetResult and byte-identical metrics (modulo the dispatcher's own
-// "engine." batching bookkeeping) / trace / profile exports as an all-fast
-// fleet, faults on and off, and a reference fleet must be byte-identical at
-// every worker count. The TSan stage runs this suite too: every worker reads
-// the server's shared DecodedModule concurrently.
+// FleetResult and byte-identical metrics / trace / profile exports as an
+// all-fast fleet, faults on and off, and a reference fleet must be
+// byte-identical at every worker count. The TSan stage runs this suite too:
+// every worker reads the server's shared DecodedModule concurrently.
 
 #include <gtest/gtest.h>
 
@@ -45,7 +44,7 @@ struct TieredFleet {
 };
 
 TieredFleet RunTieredFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs,
-                           ExecTier tier, bool faulted, std::string_view metrics_exclude = {}) {
+                           ExecTier tier, bool faulted) {
   FlightRecorder recorder;
   HotPathProfiler profiler;
   FleetOptions options;
@@ -66,14 +65,9 @@ TieredFleet RunTieredFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs
   const std::vector<InstrId>& root_cause = app.root_cause_instrs();
   TieredFleet tiered;
   tiered.result = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
-  tiered.metrics_json = recorder.MetricsJson(metrics_exclude);
+  tiered.metrics_json = recorder.MetricsJson();
   tiered.trace_json = recorder.TraceJson();
   tiered.profile_json = profiler.ProfileJson();
   return tiered;
@@ -112,19 +106,16 @@ class FleetTierTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(FleetTierTest, AllRefFleetMatchesAllFastByteForByte) {
   std::unique_ptr<BugApp> app = MakeAppByName(GetParam());
   ASSERT_NE(app, nullptr);
-  // Cross-tier comparisons filter the "engine." namespace, exactly like the
-  // fast-vs-reference check in fleet_obs_test: those counters are the
-  // dispatcher's own batching bookkeeping (flush counts, batch sizes) and
-  // legitimately differ between dispatch modes. Every pipeline-visible
-  // namespace — vm.*, profile.*, pt.*, hw.*, fleet.*, server.* — must match
-  // byte for byte, as must the span trace and the profile export.
+  // Every namespace of the metrics export — vm.*, profile.*, pt.*, hw.*,
+  // fleet.*, server.* — must match byte for byte, as must the span trace and
+  // the profile export.
   for (const bool faulted : {false, true}) {
     SCOPED_TRACE(faulted ? "faulted" : "healthy");
     const TieredFleet all_fast =
-        RunTieredFleet(*app, 2015, /*jobs=*/4, ExecTier::kFast, faulted, "engine.");
+        RunTieredFleet(*app, 2015, /*jobs=*/4, ExecTier::kFast, faulted);
     ASSERT_TRUE(all_fast.result.first_failure_found);
     const TieredFleet all_ref =
-        RunTieredFleet(*app, 2015, /*jobs=*/4, ExecTier::kReference, faulted, "engine.");
+        RunTieredFleet(*app, 2015, /*jobs=*/4, ExecTier::kReference, faulted);
     ExpectIdentical(all_fast, all_ref);
   }
 }

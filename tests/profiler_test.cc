@@ -41,8 +41,8 @@ bool FindFailingWorkload(const BugApp& app, FailureReport* report, Workload* wor
 }
 
 TEST(ProfilerTest, FastPathAndReferenceExportIdenticalProfilesOnAllApps) {
-  // The dispatch breakdown derives from DECLARED observer masks and
-  // mode-independent RunStats tallies, so both exports must be byte-equal.
+  // Block counts and watchpoint attribution do not depend on the dispatch
+  // mode, so both exports must be byte-equal.
   for (const std::unique_ptr<BugApp>& app : MakeAllApps()) {
     SCOPED_TRACE(app->info().name);
     const Module& module = app->module();
@@ -75,8 +75,8 @@ TEST(ProfilerTest, FastPathAndReferenceExportIdenticalProfilesOnAllApps) {
     for (const Workload& workload : workloads) {
       const MonitoredRun fast_run = RunMonitored(module, snapshot, 0, workload, options);
       const MonitoredRun ref_run = RunMonitored(module, snapshot, 0, workload, reference_options);
-      fast.AddRun(fast_run.profile, fast_run.result.stats, fast_run.obs);
-      reference.AddRun(ref_run.profile, ref_run.result.stats, ref_run.obs);
+      fast.AddRun(fast_run.profile, fast_run.obs);
+      reference.AddRun(ref_run.profile, ref_run.obs);
     }
     EXPECT_GT(fast.totals().total_retired(), 0u);
     EXPECT_EQ(fast.ProfileJson(), reference.ProfileJson());
@@ -106,7 +106,7 @@ TEST(ProfilerTest, RetiredHistogramAccountsEveryInstruction) {
     EXPECT_EQ(shard.total_retired(), result.stats.steps);
     steps += result.stats.steps;
     branches += result.stats.branches;
-    profiler.AddRun(shard, result.stats);
+    profiler.AddRun(shard);
   }
   ASSERT_GT(steps, 0u);
   EXPECT_EQ(profiler.totals().total_retired(), steps);
@@ -138,8 +138,8 @@ TEST(ProfilerTest, DiffAcceptsEqualProfilesAndFlagsDrift) {
       options.decoded = &decoded;
       options.profile = &shard;
       Vm vm(app->module(), workload, options);
-      const RunResult result = vm.Run();
-      profiler.AddRun(shard, result.stats);
+      vm.Run();
+      profiler.AddRun(shard);
     }
   };
   HotPathProfiler baseline;
@@ -229,7 +229,7 @@ TEST(ProfilerTest, PublishSummaryMirrorsAggregateIntoRegistry) {
   options.profile = &shard;
   Vm vm(app->module(), workload, options);
   const RunResult result = vm.Run();
-  profiler.AddRun(shard, result.stats);
+  profiler.AddRun(shard);
 
   MetricsRegistry metrics;
   profiler.PublishSummary(&metrics);

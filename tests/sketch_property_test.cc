@@ -32,12 +32,7 @@ class SketchInvariants : public ::testing::TestWithParam<std::tuple<const char*,
                 [this](uint64_t ri, Rng& rng) { return app_->MakeWorkload(ri, rng); }, options);
     const std::vector<InstrId>& root_cause = app_->root_cause_instrs();
     result_ = fleet.Run([&](const FailureSketch& sketch) {
-      for (InstrId id : root_cause) {
-        if (!sketch.Contains(id)) {
-          return false;
-        }
-      }
-      return true;
+      return sketch.ContainsAll(root_cause);
     });
     ASSERT_TRUE(result_.first_failure_found);
     ASSERT_FALSE(result_.sketch.statements.empty());
@@ -111,12 +106,7 @@ TEST_P(SketchInvariants, SketchIsDeterministicForSameFleet) {
               [&](uint64_t ri, Rng& rng) { return app2->MakeWorkload(ri, rng); }, options);
   const std::vector<InstrId>& root_cause = app2->root_cause_instrs();
   FleetResult again = fleet.Run([&](const FailureSketch& sketch) {
-    for (InstrId id : root_cause) {
-      if (!sketch.Contains(id)) {
-        return false;
-      }
-    }
-    return true;
+    return sketch.ContainsAll(root_cause);
   });
   EXPECT_EQ(again.sketch.InstrSet(), result_.sketch.InstrSet());
   EXPECT_EQ(again.failure_recurrences, result_.failure_recurrences);

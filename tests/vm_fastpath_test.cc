@@ -80,7 +80,8 @@ MonitoredRun RunSnapshot(const Module& module, const PlanSnapshot& snapshot,
     vm_options.decoded = snapshot.decoded().get();
   }
   Vm vm(module, workload, vm_options);
-  MonitoredRun run{vm.Run(), RunTrace{}};
+  MonitoredRun run;
+  run.result = vm.Run();
   run.trace = runtime.TakeTrace(/*run_id=*/0, run.result);
   return run;
 }

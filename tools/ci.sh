@@ -122,6 +122,18 @@ assert events, "empty trace"
 assert any(e["ph"] == "X" for e in events), "no spans in trace"
 print(f"flight recorder smoke OK: {len(metrics['counters'])} counters, {len(events)} events")
 EOF
+  # Cross-tier identity (DESIGN.md §9): the reference-dispatch tier must
+  # produce every export byte for byte as the default fast tier does.
+  echo "=== [release] cross-tier export identity ==="
+  ./build-ci-release/gist diagnose-app sqlite --fleet-seed 3 --tier ref \
+    --metrics-json build-ci-release/obs_metrics_ref.json \
+    --trace-json build-ci-release/obs_trace_ref.json \
+    --profile-json build-ci-release/profile_ref.json \
+    --profile-collapsed build-ci-release/profile_ref.collapsed >/dev/null
+  cmp build-ci-release/obs_metrics.json build-ci-release/obs_metrics_ref.json
+  cmp build-ci-release/obs_trace.json build-ci-release/obs_trace_ref.json
+  cmp build-ci-release/profile.json build-ci-release/profile_ref.json
+  cmp build-ci-release/profile.collapsed build-ci-release/profile_ref.collapsed
   # Profile schema check (DESIGN.md §10): the exported gist.profile.v1 JSON
   # must be internally consistent — the per-block retired histogram sums to
   # the totals — and every collapsed-stack line must parse as
@@ -132,7 +144,7 @@ import json
 with open("build-ci-release/profile.json") as f:
     profile = json.load(f)
 assert profile["schema"] == "gist.profile.v1", profile.get("schema")
-for key in ("app", "runs", "totals", "blocks", "edges", "hot_chains", "watch", "dispatch"):
+for key in ("app", "runs", "totals", "blocks", "edges", "hot_chains", "watch"):
     assert key in profile, f"missing {key}"
 assert profile["runs"] > 0, "no runs profiled"
 retired = sum(b["retired"] for b in profile["blocks"])

@@ -116,7 +116,8 @@ int Usage() {
                "  --log-level debug|info|warning|error   stderr verbosity (default info)\n"
                "  --tier fast|ref         monitored-run execution tier (default fast;\n"
                "                          ref is the always-dispatch oracle — results\n"
-               "                          are byte-identical across tiers)\n"
+               "                          and every export are byte-identical across\n"
+               "                          tiers)\n"
                "  --metrics-json <path>   write the deterministic metrics snapshot\n"
                "                          (diagnose/diagnose-app/fix-app/corpus run|score)\n"
                "  --trace-json <path>     write the virtual-time span trace in Chrome\n"
@@ -218,14 +219,24 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
   return !options->path.empty();
 }
 
-Result<std::unique_ptr<Module>> LoadProgram(const std::string& path) {
-  std::ifstream file(path);
+// Reads `path` into `*bytes`; false when unreadable.
+bool ReadFileBytes(const std::string& path, std::string* bytes) {
+  std::ifstream file(path, std::ios::binary);
   if (!file) {
-    return Error("cannot open " + path);
+    return false;
   }
   std::ostringstream text;
   text << file.rdbuf();
-  return ParseModule(text.str());
+  *bytes = text.str();
+  return true;
+}
+
+Result<std::unique_ptr<Module>> LoadProgram(const std::string& path) {
+  std::string text;
+  if (!ReadFileBytes(path, &text)) {
+    return Error("cannot open " + path);
+  }
+  return ParseModule(text);
 }
 
 Workload MakeWorkload(const CliOptions& options, uint64_t seed) {
@@ -555,14 +566,10 @@ int CmdProfDiff(int argc, char** argv) {
   }
   std::string contents[2];
   for (int i = 0; i < 2; ++i) {
-    std::ifstream file(paths[i], std::ios::binary);
-    if (!file) {
+    if (!ReadFileBytes(paths[i], &contents[i])) {
       std::fprintf(stderr, "error: cannot open %s\n", paths[i].c_str());
       return 1;
     }
-    std::ostringstream text;
-    text << file.rdbuf();
-    contents[i] = text.str();
   }
   const ProfileDiffResult diff = DiffProfiles(contents[0], contents[1], diff_options);
   if (!diff.parsed) {
@@ -706,18 +713,6 @@ int CmdCorpusGen(const CorpusCliArgs& args) {
   std::printf("wrote %zu programs (seed %llu) to %s\n", programs.size(),
               static_cast<unsigned long long>(args.seed), args.dir.c_str());
   return 0;
-}
-
-// Reads `path` into `*bytes`; false when unreadable.
-bool ReadFileBytes(const std::string& path, std::string* bytes) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return false;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  *bytes = text.str();
-  return true;
 }
 
 // Regenerates the corpus `dir` holds and byte-verifies every on-disk
